@@ -14,7 +14,7 @@
 //! merge this bench's entries into `BENCH_platform_sim.json` at the repo
 //! root, preserving the other benches' entries.
 
-use ascp_bench::harness::{merge_into_baseline, short_mode, threads_from_args, BenchStats};
+use ascp_bench::harness::{merge_into_baseline, Args, BenchStats};
 use ascp_core::campaign::{CampaignOptions, CampaignRunner, Dispersion, ScenarioSpec, Step};
 use ascp_core::platform::PlatformConfig;
 
@@ -55,8 +55,9 @@ fn best_wall(runner: &CampaignRunner, run_s: f64, window_s: f64, reps: usize) ->
 
 fn main() -> std::io::Result<()> {
     println!("== campaign_montecarlo ==");
-    let threads = threads_from_args();
-    let (run_s, window_s, reps) = if short_mode() {
+    let args = Args::parse("campaign_montecarlo");
+    let threads = args.threads;
+    let (run_s, window_s, reps) = if args.short {
         (0.02, 0.005, 1)
     } else {
         (0.1, 0.02, 2)
@@ -110,7 +111,7 @@ fn main() -> std::io::Result<()> {
         per("campaign/montecarlo_16_scalar", scalar_s),
         per("campaign/montecarlo_16_fleet", fleet_s),
     ];
-    if short_mode() {
+    if args.short {
         println!("(short mode: baseline not rewritten)");
     } else {
         merge_into_baseline(&stats)?;

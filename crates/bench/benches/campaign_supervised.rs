@@ -12,7 +12,7 @@
 //! `BENCH_platform_sim.json` at the repo root, preserving the other
 //! benches' entries.
 
-use ascp_bench::harness::{merge_into_baseline, short_mode, threads_from_args, BenchStats};
+use ascp_bench::harness::{merge_into_baseline, Args, BenchStats};
 use ascp_core::campaign::{CampaignOptions, CampaignRunner, ScenarioSpec, Step};
 use ascp_core::platform::PlatformConfig;
 
@@ -53,8 +53,9 @@ fn best_wall(runner: &CampaignRunner, settle_s: f64, window_s: f64, reps: usize)
 
 fn main() -> std::io::Result<()> {
     println!("== campaign_supervised ==");
-    let threads = threads_from_args();
-    let (settle_s, window_s, reps) = if short_mode() {
+    let args = Args::parse("campaign_supervised");
+    let threads = args.threads;
+    let (settle_s, window_s, reps) = if args.short {
         (0.02, 0.002, 2)
     } else {
         (0.05, 0.005, 4)
@@ -116,7 +117,7 @@ fn main() -> std::io::Result<()> {
         per("campaign/supervised_16_off", bare_s),
         per("campaign/supervised_16_on", supervised_s),
     ];
-    if short_mode() {
+    if args.short {
         // Short samples are too noisy to commit or to gate on; report only.
         println!("(short mode: baseline not rewritten, overhead informational)");
     } else {

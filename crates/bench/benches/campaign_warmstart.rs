@@ -12,7 +12,7 @@
 //! merge this bench's entries into `BENCH_platform_sim.json` at the repo
 //! root, preserving the other benches' entries.
 
-use ascp_bench::harness::{merge_into_baseline, short_mode, threads_from_args, BenchStats};
+use ascp_bench::harness::{merge_into_baseline, Args, BenchStats};
 use ascp_core::campaign::{CampaignOptions, CampaignRunner, ScenarioSpec, Step};
 use ascp_core::platform::PlatformConfig;
 
@@ -50,11 +50,12 @@ fn best_wall(runner: &CampaignRunner, settle_s: f64, window_s: f64, reps: usize)
 
 fn main() -> std::io::Result<()> {
     println!("== campaign_warmstart ==");
-    let threads = threads_from_args();
+    let args = Args::parse("campaign_warmstart");
+    let threads = args.threads;
     // The short profile keeps the same shape (lock transient dominates)
     // with a ~10x smaller measurement window; good enough for the smoke
     // gate, too noisy to commit.
-    let (settle_s, window_s, reps) = if short_mode() {
+    let (settle_s, window_s, reps) = if args.short {
         (0.02, 0.002, 1)
     } else {
         (0.05, 0.005, 2)
@@ -109,7 +110,7 @@ fn main() -> std::io::Result<()> {
         per("campaign/rate_table_16_cold", cold_s),
         per("campaign/rate_table_16_warm", warm_s),
     ];
-    if short_mode() {
+    if args.short {
         println!("(short mode: baseline not rewritten)");
     } else {
         merge_into_baseline(&stats)?;

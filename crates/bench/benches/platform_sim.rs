@@ -10,8 +10,7 @@
 //! repository root; smoke runs only read it.
 
 use ascp_bench::harness::{
-    bench, black_box, check_against, check_path_from_args, repo_root_path, write_bench_json,
-    BenchStats,
+    bench, black_box, check_against, repo_root_path, write_bench_json, Args, BenchStats,
 };
 use ascp_core::platform::{Platform, PlatformConfig, PlatformFleet};
 use ascp_core::system::{SystemModel, SystemModelConfig};
@@ -288,11 +287,12 @@ fn main() {
     // trajectory file with this run. Short (smoke) runs never rewrite the
     // baseline: their shrunken protocol is too noisy to commit, and the
     // gate would otherwise dirty the checked-in file on every run.
-    let regressed = check_path_from_args().map(|path| {
+    let args = Args::parse("platform_sim");
+    let regressed = args.check.map(|path| {
         check_against(&path, &all, 0.5)
             .unwrap_or_else(|e| panic!("cannot read baseline {}: {e}", path.display()))
     });
-    if !ascp_bench::harness::short_mode() {
+    if !args.short {
         write_bench_json(repo_root_path("BENCH_platform_sim.json"), &all)
             .expect("write bench trajectory");
     }

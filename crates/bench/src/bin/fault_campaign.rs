@@ -41,20 +41,15 @@
 //! scenario-level failures (undetected faults, poisoned scenarios,
 //! coverage regressions), `2` infrastructure errors (journal I/O).
 
-use ascp_bench::harness::{repo_root_path, run_to_exit, Args, EXIT_SCENARIO_FAILURE};
+use ascp_bench::harness::{repo_root_path, run_campaign, run_to_exit, Args, EXIT_SCENARIO_FAILURE};
 use ascp_bench::{experiments_dir, write_metrics};
 use ascp_core::prelude::*;
 use ascp_sim::fault::AdcChannel;
 use ascp_sim::telemetry::RecorderConfig;
-use std::sync::Arc;
 
 /// Default chaos seed: chosen so the 11-class catalog draws at least one
 /// panic and one stall injection.
 const CHAOS_SEED: u64 = 0xC4A0;
-
-/// Default chaos stall cap, seconds: long enough to prove the stall
-/// happened, short enough for CI smoke.
-const CHAOS_STALL_CAP_S: f64 = 2.0;
 
 /// Pre-trigger flight-recorder depth: 2048 DSP ticks ≈ 2 ms of signal
 /// history ahead of every supervisor trigger.
@@ -172,11 +167,9 @@ fn main() {
     run_to_exit("fault_campaign", run);
 }
 
-#[allow(clippy::too_many_lines)]
 fn run() -> Result<i32, Box<dyn std::error::Error>> {
     let args = Args::parse("fault_campaign");
     let smoke = args.smoke;
-    let chaos = args.chaos;
     let threads = args.threads;
     let scenarios: Vec<ScenarioSpec> = catalog().iter().map(|c| scenario(c, smoke)).collect();
     println!(
@@ -189,45 +182,12 @@ fn run() -> Result<i32, Box<dyn std::error::Error>> {
         }
     );
 
-    let metrics_server = args.metrics_server();
-    let mut options = CampaignOptions::builder()
-        .threads(threads)
-        .tracing(true)
-        .progress(true);
-    if chaos {
-        let seed = args.chaos_seed.unwrap_or(CHAOS_SEED);
-        options = options.chaos(ChaosPlan::new(seed).with_stall_cap_s(CHAOS_STALL_CAP_S));
-        println!("  chaos: seeded worker panics + stalls (seed {seed:#x}); healthy rows stay byte-identical");
-    }
-    if let Some(deadline) = args.deadline_s {
-        options = options.deadline_s(deadline);
-        println!("  watchdog: per-scenario deadline {deadline} s");
-    }
-    if let Some(server) = &metrics_server {
-        options = options.observer(Arc::new(server.clone()));
-    }
-    let runner = CampaignRunner::with_options(options.build()?);
-    let journal_path = args.journal.clone();
-    let report = match &journal_path {
-        Some(path) => {
-            // `resume` starts fresh when the journal does not exist yet,
-            // so the same command line works before and after a crash.
-            let report = runner.resume(scenarios, path)?;
-            if report.resumed > 0 {
-                println!(
-                    "  journal: resumed {} completed scenario(s) from {path}",
-                    report.resumed
-                );
-            } else {
-                println!("  journal: recording to {path}");
-            }
-            report
-        }
-        None => runner.run(scenarios),
-    };
-    if let Some(server) = &metrics_server {
-        server.publish(report.to_telemetry().to_prometheus());
-    }
+    let report = run_campaign(
+        &args,
+        CampaignOptions::builder().tracing(true),
+        CHAOS_SEED,
+        scenarios,
+    )?;
 
     for o in &report.outcomes {
         print!("  {:<20}", o.name);
@@ -309,7 +269,7 @@ fn run() -> Result<i32, Box<dyn std::error::Error>> {
         md_path.display()
     );
 
-    if chaos || report.retries_total() > 0 || report.poisoned() > 0 {
+    if args.chaos || report.retries_total() > 0 || report.poisoned() > 0 {
         println!(
             "  supervision: {} retr{}, {} timeout(s), {} panic(s), {} poisoned",
             report.retries_total(),

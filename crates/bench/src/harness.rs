@@ -6,7 +6,10 @@
 //! to resist scheduler noise. Accuracy is in the few-percent range, which
 //! is all the cycle-budget comparisons here need.
 
-use ascp_core::campaign::{CampaignObserver, ScenarioProgress};
+use ascp_core::campaign::{
+    CampaignObserver, CampaignOptionsBuilder, CampaignReport, CampaignRunner, ChaosPlan, Scenario,
+    ScenarioProgress,
+};
 use std::error::Error;
 use std::io;
 use std::io::{Read as _, Write as _};
@@ -44,53 +47,6 @@ pub fn repo_root_path(name: impl AsRef<Path>) -> PathBuf {
     }
 }
 
-/// Parses `--check <path>` (or `--check=<path>`) from the process
-/// arguments: the committed bench-trajectory file to guard against.
-/// Relative paths are resolved against the repository root (see
-/// [`repo_root_path`]).
-#[must_use]
-pub fn check_path_from_args() -> Option<PathBuf> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--check" {
-            return args.next().map(repo_root_path);
-        }
-        if let Some(v) = a.strip_prefix("--check=") {
-            return Some(repo_root_path(v));
-        }
-    }
-    None
-}
-
-/// Parses a `--threads N` (or `--threads=N`) flag from the process
-/// arguments; defaults to the machine's available parallelism. Every
-/// campaign-based bin routes its worker count through this, so
-/// `cargo run --bin fault_campaign -- --threads 4` works uniformly.
-#[must_use]
-pub fn threads_from_args() -> usize {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--threads" {
-            if let Some(n) = args.next().and_then(|v| v.parse::<usize>().ok()) {
-                return n.max(1);
-            }
-        } else if let Some(v) = a.strip_prefix("--threads=") {
-            if let Ok(n) = v.parse::<usize>() {
-                return n.max(1);
-            }
-        }
-    }
-    ascp_sim::campaign::available_parallelism()
-}
-
-/// Returns `true` when the bare flag `--<name>` appears in the process
-/// arguments (`--chaos`, `--smoke`, …).
-#[must_use]
-pub fn flag_present(name: &str) -> bool {
-    let flag = format!("--{name}");
-    std::env::args().any(|a| a == flag)
-}
-
 /// Exit code for scenario-level failures: undetected faults, poisoned
 /// (retry-exhausted) scenarios, coverage regressions. The campaign ran;
 /// its *results* are bad.
@@ -115,23 +71,62 @@ pub fn run_to_exit(name: &str, run: impl FnOnce() -> Result<i32, Box<dyn Error>>
     }
 }
 
-/// Parses `--<name> <value>` (or `--<name>=<value>`) from the process
-/// arguments. Shared by every bench bin that takes flag-style options
-/// (`--checkpoint`, `--resume`, `--serve-metrics`, `--check-coverage`, …).
-#[must_use]
-pub fn arg_value(name: &str) -> Option<String> {
-    let flag = format!("--{name}");
-    let prefix = format!("--{name}=");
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next();
-        }
-        if let Some(v) = a.strip_prefix(&prefix) {
-            return Some(v.to_owned());
-        }
+/// Default chaos stall cap, seconds: long enough to prove the stall
+/// happened, short enough for CI smoke.
+const CHAOS_STALL_CAP_S: f64 = 2.0;
+
+/// Runs a campaign bin's scenario list under the shared supervision
+/// flags: `--threads`, `--chaos` / `--chaos-seed` (falling back to the
+/// bin's `default_chaos_seed`), `--deadline`, `--serve-metrics` (the final
+/// telemetry is published when the campaign ends), and `--journal` (the
+/// campaign resumes when the journal exists, so the same command line
+/// works before and after a crash). `options` carries the bin's own
+/// settings (e.g. tracing); progress lines are always on.
+///
+/// # Errors
+///
+/// Invalid campaign options, or a journal that cannot be created, read or
+/// appended, or that belongs to a different campaign.
+pub fn run_campaign<S: Into<Scenario>>(
+    args: &Args,
+    mut options: CampaignOptionsBuilder,
+    default_chaos_seed: u64,
+    scenarios: Vec<S>,
+) -> Result<CampaignReport, Box<dyn Error>> {
+    let metrics_server = args.metrics_server();
+    if args.chaos {
+        let seed = args.chaos_seed.unwrap_or(default_chaos_seed);
+        options = options.chaos(ChaosPlan::new(seed).with_stall_cap_s(CHAOS_STALL_CAP_S));
+        println!("  chaos: seeded worker panics + stalls (seed {seed:#x}); healthy rows stay byte-identical");
     }
-    None
+    if let Some(deadline) = args.deadline_s {
+        options = options.deadline_s(deadline);
+        println!("  watchdog: per-scenario deadline {deadline} s");
+    }
+    if let Some(server) = &metrics_server {
+        options = options.observer(Arc::new(server.clone()));
+    }
+    let runner =
+        CampaignRunner::with_options(options.threads(args.threads).progress(true).build()?);
+    let report = match &args.journal {
+        Some(path) => {
+            let report = runner.resume(scenarios, path)?;
+            if report.resumed > 0 {
+                println!(
+                    "  journal: resumed {} completed scenario(s) from {path}",
+                    report.resumed
+                );
+            } else {
+                println!("  journal: recording to {path}");
+            }
+            report
+        }
+        None => runner.run(scenarios),
+    };
+    if let Some(server) = &metrics_server {
+        server.publish(report.to_telemetry().to_prometheus());
+    }
+    Ok(report)
 }
 
 /// Usage text answered to `--help` (and appended to flag errors) by
@@ -154,18 +149,17 @@ Shared campaign-bin options:
   --help                print this help and exit";
 
 /// Typed command-line arguments shared by the campaign bins
-/// (`fault_campaign`, `stability_allan`, the `ablation_*` family).
+/// (`fault_campaign`, `sensor_datasheet`, `stability_allan`, the
+/// `ablation_*` family) and the benches that take flags (`platform_sim`
+/// and the `campaign_*` benches).
 ///
 /// [`Args::parse`] recognises the full shared vocabulary — individual
 /// bins simply ignore fields they have no use for — so every bin accepts
 /// a uniform flag set, `--help` is answered consistently, and an unknown
 /// flag (or a malformed value) is a usage error that exits with
-/// [`EXIT_INFRA_ERROR`] instead of being silently ignored.
-///
-/// Not for `cargo bench` harness benches: libtest passes its own flags
-/// (`--bench`, filter strings), which this parser would reject — benches
-/// keep using the tolerant [`short_mode`] / [`check_path_from_args`]
-/// helpers.
+/// [`EXIT_INFRA_ERROR`] instead of being silently ignored. The `--bench`
+/// flag `cargo bench` appends is accepted and ignored, so benches run
+/// with `harness = false` parse their arguments here too.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Args {
     /// `--threads N`: campaign worker threads, clamped to ≥ 1.
@@ -267,6 +261,8 @@ impl Args {
             let inline = inline.as_deref();
             match flag.as_str() {
                 "help" => return Ok(None),
+                // Appended by `cargo bench` to every bench binary.
+                "bench" => {}
                 "smoke" => out.smoke = true,
                 "short" => out.short = true,
                 "chaos" => out.chaos = true,
@@ -349,7 +345,7 @@ impl Args {
 /// a long campaign runs to watch scenario progress live.
 ///
 /// The server also implements [`CampaignObserver`]: attach it to a
-/// [`CampaignRunner`](ascp_core::campaign::CampaignRunner) via
+/// [`CampaignRunner`] via
 /// `CampaignOptions::builder().observer(..)` and it self-updates `ascp_campaign_scenarios_completed`
 /// / `ascp_campaign_recorder_triggers` gauges as scenarios finish, in
 /// addition to whatever body the driver publishes.
@@ -442,24 +438,6 @@ impl CampaignObserver for MetricsServer {
             .store(progress.completed as u64, Ordering::Relaxed);
         if progress.triggered {
             self.triggered.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
-
-/// Builds a [`MetricsServer`] when the process was started with
-/// `--serve-metrics <addr>`. A bind failure is reported on stderr and
-/// ignored (observability must never kill the run it observes).
-#[must_use]
-pub fn metrics_server_from_args() -> Option<MetricsServer> {
-    let addr = arg_value("serve-metrics")?;
-    match MetricsServer::bind(&addr) {
-        Ok(server) => {
-            println!("serving live metrics on http://{}/metrics", server.addr());
-            Some(server)
-        }
-        Err(e) => {
-            eprintln!("warning: --serve-metrics {addr}: bind failed ({e}); continuing without");
-            None
         }
     }
 }
@@ -717,6 +695,7 @@ mod tests {
             "127.0.0.1:0",
             "--check-coverage",
             "cov.csv",
+            "--bench",
         ])
         .expect("valid")
         .expect("not help");
@@ -741,7 +720,7 @@ mod tests {
             ascp_sim::campaign::available_parallelism(),
             "default thread count is the machine's parallelism"
         );
-        // `--threads 0` clamps like `threads_from_args` always has.
+        // `--threads 0` clamps to one worker rather than erroring.
         let clamped = parse(&["--threads", "0"])
             .expect("valid")
             .expect("not help");

@@ -9,6 +9,10 @@
 //! [`CampaignRunner`] shards a `Vec<ScenarioSpec>` across worker threads —
 //! one independent [`Platform`] per scenario — and merges the per-scenario
 //! metrics into a single [`CampaignReport`] (CSV + telemetry JSON).
+//! Generic sensor-channel measurements ([`ChannelScenario`]) are
+//! scenarios too: the runner takes any list of [`Scenario`]s, so one
+//! campaign characterizes the gyro and the other sensor families under
+//! the same supervision, journal and tracing.
 //!
 //! Determinism contract: every scenario derives its noise seed from its
 //! own spec (`seed` override, else the config seed mixed with the
@@ -122,6 +126,7 @@ use crate::characterize::{
     measure_noise_density, measure_static_transfer, CharacterizationConfig, RateSensor,
 };
 use crate::checkpoint;
+use crate::frontend::{run_channel_scenario, ChannelScenario};
 use crate::journal::{self, JournalError, JournalWriter};
 use crate::platform::{ConfigError, Platform, PlatformConfig, PlatformFleet};
 use crate::supervisor::SupervisorState;
@@ -130,7 +135,7 @@ use ascp_sim::campaign::{available_parallelism, panic_message, try_parallel_map,
 use ascp_sim::fault::FaultPlan;
 use ascp_sim::snapshot::fnv1a64;
 use ascp_sim::stats;
-use ascp_sim::telemetry::trace::{SpanId, TraceCollector, TraceLog};
+use ascp_sim::telemetry::trace::{SpanId, TraceCollector, TraceLog, TraceRecorder};
 use ascp_sim::telemetry::{CaptureBundle, Event, Telemetry, TelemetryConfig, TelemetrySnapshot};
 use ascp_sim::units::{Celsius, DegPerSec, Hertz};
 use std::collections::{HashMap, HashSet};
@@ -471,6 +476,57 @@ impl ScenarioSpec {
         self.steps.extend(steps);
         self
     }
+
+    /// The seed override, else the config seed mixed with `index`.
+    fn effective_seed(&self, index: usize) -> u64 {
+        self.seed
+            .unwrap_or_else(|| derive_seed(self.config.seed, index as u64))
+    }
+}
+
+/// One scenario the [`CampaignRunner`] executes: a full-platform
+/// experiment or a measurement on a generic sensor channel.
+///
+/// Both kinds run under the same supervision (panic isolation, watchdog,
+/// retry, chaos), journal and span tracing, and land side by side in one
+/// [`CampaignReport`]. The `From` impls let every runner entry point take
+/// a `Vec` of either kind directly. Channel scenarios never batch onto a
+/// [`PlatformFleet`] and never use the warm-start cache.
+#[derive(Clone)]
+pub enum Scenario {
+    /// A full-platform scenario (Step DSL).
+    Platform(Box<ScenarioSpec>),
+    /// A generic sensor-channel scenario.
+    Channel(ChannelScenario),
+}
+
+impl From<ScenarioSpec> for Scenario {
+    fn from(spec: ScenarioSpec) -> Self {
+        Self::Platform(Box::new(spec))
+    }
+}
+
+impl From<ChannelScenario> for Scenario {
+    fn from(scenario: ChannelScenario) -> Self {
+        Self::Channel(scenario)
+    }
+}
+
+impl Scenario {
+    fn name(&self) -> &str {
+        match self {
+            Self::Platform(spec) => &spec.name,
+            Self::Channel(sc) => &sc.name,
+        }
+    }
+
+    /// Effective noise seed at campaign position `index`.
+    fn seed(&self, index: usize) -> u64 {
+        match self {
+            Self::Platform(spec) => spec.effective_seed(index),
+            Self::Channel(sc) => sc.seed,
+        }
+    }
 }
 
 /// Why one attempt of a scenario failed (the supervision taxonomy).
@@ -669,6 +725,22 @@ pub struct ScenarioOutcome {
 }
 
 impl ScenarioOutcome {
+    /// A completed outcome with nothing measured yet.
+    pub(crate) fn started(name: &str, index: usize, seed: u64) -> Self {
+        Self {
+            name: name.to_owned(),
+            index,
+            seed,
+            metrics: Vec::new(),
+            series: Vec::new(),
+            fault_classes: Vec::new(),
+            transitions: Vec::new(),
+            capture: None,
+            attempt_errors: Vec::new(),
+            status: ScenarioStatus::Done,
+        }
+    }
+
     /// Retries performed (attempts beyond the first).
     #[must_use]
     pub fn retries(&self) -> usize {
@@ -1224,38 +1296,9 @@ impl CampaignRunner {
         &self.options
     }
 
-    /// Configured worker-thread count.
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        self.options.threads
-    }
-
-    /// Configured retry budget.
-    #[must_use]
-    pub fn max_retries(&self) -> u32 {
-        self.options.max_retries
-    }
-
-    /// Configured per-scenario deadline, if the watchdog is armed.
-    #[must_use]
-    pub fn deadline_s(&self) -> Option<f64> {
-        self.options.deadline_s
-    }
-
-    /// Whether the warm-start cache is enabled.
-    #[must_use]
-    pub fn warm_start(&self) -> bool {
-        self.options.warm_start
-    }
-
-    /// Whether span tracing is enabled.
-    #[must_use]
-    pub fn tracing(&self) -> bool {
-        self.options.tracing
-    }
-
     /// Runs every scenario (Monte-Carlo specs expanded into their lanes
-    /// first) and merges the outcomes.
+    /// first) and merges the outcomes. Takes platform specs, channel
+    /// scenarios, or a mix of both as [`Scenario`]s.
     ///
     /// Infallible: supervision turns worker failures into per-scenario
     /// outcomes, never a campaign abort. Check
@@ -1266,7 +1309,7 @@ impl CampaignRunner {
     /// Never in practice — only if the (journal-less) execution core
     /// reports a journal error, which it cannot.
     #[must_use]
-    pub fn run(&self, scenarios: Vec<ScenarioSpec>) -> CampaignReport {
+    pub fn run<S: Into<Scenario>>(&self, scenarios: Vec<S>) -> CampaignReport {
         let (scenarios, parents) = expand_monte_carlo(scenarios);
         self.run_campaign(scenarios, &parents, Vec::new(), None)
             .expect("campaign without a journal cannot fail")
@@ -1283,9 +1326,9 @@ impl CampaignRunner {
     ///
     /// [`JournalError`] when the journal file cannot be created or
     /// written.
-    pub fn run_with_journal(
+    pub fn run_with_journal<S: Into<Scenario>>(
         &self,
-        scenarios: Vec<ScenarioSpec>,
+        scenarios: Vec<S>,
         path: impl AsRef<Path>,
     ) -> Result<CampaignReport, JournalError> {
         let (scenarios, parents) = expand_monte_carlo(scenarios);
@@ -1306,9 +1349,9 @@ impl CampaignRunner {
     /// [`JournalError`] when the journal exists but was written by a
     /// different campaign (config-digest mismatch), is not a journal
     /// file, or cannot be read/appended.
-    pub fn resume(
+    pub fn resume<S: Into<Scenario>>(
         &self,
-        scenarios: Vec<ScenarioSpec>,
+        scenarios: Vec<S>,
         path: impl AsRef<Path>,
     ) -> Result<CampaignReport, JournalError> {
         let path = path.as_ref();
@@ -1329,39 +1372,39 @@ impl CampaignRunner {
     /// Partitions the remaining work into pool units: runs of consecutive
     /// fleet-eligible Monte-Carlo sibling lanes become
     /// [`WorkUnit::Fleet`] groups of at most [`FLEET_GROUP_MAX`] lanes;
-    /// everything else runs scalar. Grouping is disabled wholesale when a
-    /// runner feature the fleet cannot express is on (warm-start cache,
-    /// span tracing, chaos injection) — those campaigns run every lane
-    /// scalar, with byte-identical results.
-    fn plan_units(
-        &self,
-        work: Vec<(usize, ScenarioSpec)>,
-        parents: &[Option<usize>],
-    ) -> Vec<WorkUnit> {
+    /// everything else (channel scenarios included) runs scalar. Grouping
+    /// is disabled wholesale when a runner feature the fleet cannot
+    /// express is on (warm-start cache, span tracing, chaos injection) —
+    /// those campaigns run every lane scalar, with byte-identical results.
+    fn plan_units(&self, work: Vec<(usize, Scenario)>, parents: &[Option<usize>]) -> Vec<WorkUnit> {
         let fleet_allowed = self.options.fleet
             && !self.options.warm_start
             && !self.options.tracing
             && self.options.chaos.is_none();
         let mut units: Vec<WorkUnit> = Vec::new();
-        for (index, spec) in work {
+        for (index, scenario) in work {
             let parent = parents.get(index).copied().flatten();
-            if fleet_allowed && parent.is_some() && fleet_eligible(&spec) {
-                if let Some(WorkUnit::Fleet(group)) = units.last_mut() {
-                    if parents[group[0].0] == parent && group.len() < FLEET_GROUP_MAX {
-                        group.push((index, spec));
-                        continue;
+            match scenario {
+                Scenario::Platform(spec)
+                    if fleet_allowed && parent.is_some() && fleet_eligible(&spec) =>
+                {
+                    if let Some(WorkUnit::Fleet(group)) = units.last_mut() {
+                        if parents[group[0].0] == parent && group.len() < FLEET_GROUP_MAX {
+                            group.push((index, *spec));
+                            continue;
+                        }
                     }
+                    units.push(WorkUnit::Fleet(vec![(index, *spec)]));
                 }
-                units.push(WorkUnit::Fleet(vec![(index, spec)]));
-            } else {
-                units.push(WorkUnit::Single(Box::new((index, spec))));
+                scenario => units.push(WorkUnit::Single(index, scenario)),
             }
         }
         // A one-lane fleet is scalar execution plus sync overhead: demote.
         for unit in &mut units {
             if let WorkUnit::Fleet(group) = unit {
                 if group.len() == 1 {
-                    *unit = WorkUnit::Single(Box::new(group.pop().expect("length checked")));
+                    let (index, spec) = group.pop().expect("length checked");
+                    *unit = WorkUnit::Single(index, spec.into());
                 }
             }
         }
@@ -1373,10 +1416,9 @@ impl CampaignRunner {
     /// journals completions, and merges everything in input order.
     /// `parents` maps each expanded index to its Monte-Carlo parent
     /// (`None` for plain scenarios) and keys fleet grouping.
-    #[allow(clippy::too_many_lines)]
     fn run_campaign(
         &self,
-        scenarios: Vec<ScenarioSpec>,
+        scenarios: Vec<Scenario>,
         parents: &[Option<usize>],
         preloaded: Vec<ScenarioOutcome>,
         writer: Option<&JournalWriter>,
@@ -1385,7 +1427,7 @@ impl CampaignRunner {
         let total = scenarios.len();
         let resumed = preloaded.len();
         let done_indices: HashSet<usize> = preloaded.iter().map(|o| o.index).collect();
-        let work: Vec<(usize, ScenarioSpec)> = scenarios
+        let work: Vec<(usize, Scenario)> = scenarios
             .into_iter()
             .enumerate()
             .filter(|(index, _)| !done_indices.contains(index))
@@ -1393,20 +1435,7 @@ impl CampaignRunner {
         let units = self.plan_units(work, parents);
         // Identity of each unit's lanes, kept outside the pool so even a
         // scenario whose slot comes back empty gets a typed placeholder.
-        let meta: Vec<Vec<(usize, String, u64)>> = units
-            .iter()
-            .map(|unit| {
-                unit.lanes()
-                    .iter()
-                    .map(|(index, spec)| {
-                        let seed = spec
-                            .seed
-                            .unwrap_or_else(|| derive_seed(spec.config.seed, *index as u64));
-                        (*index, spec.name.clone(), seed)
-                    })
-                    .collect()
-            })
-            .collect();
+        let meta: Vec<Vec<(usize, String, u64)>> = units.iter().map(WorkUnit::lane_ids).collect();
         let cache = self.options.warm_start.then(WarmCache::default);
         let hits = AtomicUsize::new(0);
         let done = AtomicUsize::new(resumed);
@@ -1424,8 +1453,7 @@ impl CampaignRunner {
             .map(|d| Watchdog::spawn(units.len(), d));
         let journal_failure: Mutex<Option<JournalError>> = Mutex::new(None);
 
-        // Journals one finished outcome and emits its progress line
-        // (shared by the scalar and fleet arms below).
+        // Journals one finished outcome and emits its progress line.
         let finish = |out: &ScenarioOutcome, wall_ms: f64, warm: Option<bool>| {
             if let Some(writer) = writer {
                 if let Err(e) = writer.append(out) {
@@ -1463,121 +1491,69 @@ impl CampaignRunner {
                 watchdog: watchdog.as_ref(),
                 slot,
             };
-            match unit {
-                WorkUnit::Single(lane) => {
-                    let (index, spec) = *lane;
-                    let mut errors: Vec<ScenarioError> = Vec::new();
-                    let (out, warm_hit) = loop {
-                        let attempt = errors.len() as u32;
-                        if attempt > 0 {
-                            let factor = 1u64 << u64::from((attempt - 1).min(6));
-                            std::thread::sleep(Duration::from_millis(
-                                self.options.backoff_ms * factor,
-                            ));
-                        }
-                        ctx.arm();
-                        let caught = catch_unwind(AssertUnwindSafe(|| {
-                            run_attempt(
-                                index,
-                                attempt,
-                                &spec,
-                                cache.as_ref(),
-                                &hits,
-                                collector.as_ref(),
-                                ctx,
-                                self.options.chaos.as_ref(),
-                            )
-                        }));
-                        ctx.disarm();
-                        let attempt_result = caught.unwrap_or_else(|payload| {
-                            Err(ScenarioError::Panicked {
-                                message: panic_message(payload.as_ref()),
-                            })
-                        });
-                        match attempt_result {
-                            Ok((mut out, warm_hit)) => {
-                                out.attempt_errors.clone_from(&errors);
-                                break (out, warm_hit);
-                            }
-                            Err(err) => {
-                                errors.push(err);
-                                if errors.len() > self.options.max_retries as usize {
-                                    let seed = spec.seed.unwrap_or_else(|| {
-                                        derive_seed(spec.config.seed, index as u64)
-                                    });
-                                    break (
-                                        poisoned_outcome(index, &spec.name, seed, errors),
-                                        false,
-                                    );
-                                }
-                            }
-                        }
-                    };
-                    finish(
-                        &out,
-                        t0.elapsed().as_secs_f64() * 1.0e3,
-                        cache.as_ref().map(|_| warm_hit),
-                    );
-                    vec![out]
+            let mut errors: Vec<ScenarioError> = Vec::new();
+            let mut warm_hit = false;
+            let outs = loop {
+                let attempt = errors.len() as u32;
+                if attempt > 0 {
+                    let factor = 1u64 << u64::from((attempt - 1).min(6));
+                    std::thread::sleep(Duration::from_millis(self.options.backoff_ms * factor));
                 }
-                WorkUnit::Fleet(lanes) => {
-                    let mut errors: Vec<ScenarioError> = Vec::new();
-                    let outs = loop {
-                        let attempt = errors.len() as u32;
-                        if attempt > 0 {
-                            let factor = 1u64 << u64::from((attempt - 1).min(6));
-                            std::thread::sleep(Duration::from_millis(
-                                self.options.backoff_ms * factor,
-                            ));
+                ctx.arm();
+                let caught = catch_unwind(AssertUnwindSafe(|| match &unit {
+                    WorkUnit::Single(index, scenario) => run_attempt(
+                        *index,
+                        attempt,
+                        scenario,
+                        cache.as_ref(),
+                        &hits,
+                        collector.as_ref(),
+                        ctx,
+                        self.options.chaos.as_ref(),
+                    )
+                    .map(|(out, hit)| {
+                        warm_hit = hit;
+                        vec![out]
+                    }),
+                    WorkUnit::Fleet(lanes) => run_fleet_attempt(lanes, ctx),
+                }));
+                ctx.disarm();
+                let attempt_result = caught.unwrap_or_else(|payload| {
+                    Err(ScenarioError::Panicked {
+                        message: panic_message(payload.as_ref()),
+                    })
+                });
+                match attempt_result {
+                    Ok(mut outs) => {
+                        for out in &mut outs {
+                            out.attempt_errors.clone_from(&errors);
                         }
-                        ctx.arm();
-                        let caught =
-                            catch_unwind(AssertUnwindSafe(|| run_fleet_attempt(&lanes, ctx)));
-                        ctx.disarm();
-                        let attempt_result = caught.unwrap_or_else(|payload| {
-                            Err(ScenarioError::Panicked {
-                                message: panic_message(payload.as_ref()),
-                            })
-                        });
-                        match attempt_result {
-                            Ok(mut outs) => {
-                                for out in &mut outs {
-                                    out.attempt_errors.clone_from(&errors);
-                                }
-                                break outs;
-                            }
-                            Err(err) => {
-                                errors.push(err);
-                                if errors.len() > self.options.max_retries as usize {
-                                    // The group fails whole: every lane is
-                                    // quarantined with the shared history.
-                                    break lanes
-                                        .iter()
-                                        .map(|(index, spec)| {
-                                            let seed = spec.seed.unwrap_or_else(|| {
-                                                derive_seed(spec.config.seed, *index as u64)
-                                            });
-                                            poisoned_outcome(
-                                                *index,
-                                                &spec.name,
-                                                seed,
-                                                errors.clone(),
-                                            )
-                                        })
-                                        .collect();
-                                }
-                            }
-                        }
-                    };
-                    // Wall time amortized over the batch: the lanes ran as
-                    // one lockstep unit.
-                    let lane_ms = t0.elapsed().as_secs_f64() * 1.0e3 / outs.len().max(1) as f64;
-                    for out in &outs {
-                        finish(out, lane_ms, None);
+                        break outs;
                     }
-                    outs
+                    Err(err) => {
+                        errors.push(err);
+                        if errors.len() > self.options.max_retries as usize {
+                            // The unit fails whole: every lane is
+                            // quarantined with the shared history.
+                            break meta[slot]
+                                .iter()
+                                .map(|(index, name, seed)| {
+                                    poisoned_outcome(*index, name, *seed, errors.clone())
+                                })
+                                .collect();
+                        }
+                    }
                 }
+            };
+            // Wall time amortized over the unit: fleet lanes ran as one
+            // lockstep batch. Fleets are only planned with the warm cache
+            // off, so `warm` is per-scenario whenever it is reported.
+            let lane_ms = t0.elapsed().as_secs_f64() * 1.0e3 / outs.len().max(1) as f64;
+            let warm = cache.as_ref().map(|_| warm_hit);
+            for out in &outs {
+                finish(out, lane_ms, warm);
             }
+            outs
         });
         drop(watchdog); // stops the scanner thread
 
@@ -1643,16 +1619,22 @@ const FLEET_GROUP_MAX: usize = 16;
 /// One unit of pool work: a scalar scenario, or consecutive Monte-Carlo
 /// sibling lanes batched onto one [`PlatformFleet`].
 enum WorkUnit {
-    Single(Box<(usize, ScenarioSpec)>),
+    Single(usize, Scenario),
     Fleet(Vec<(usize, ScenarioSpec)>),
 }
 
 impl WorkUnit {
-    /// The unit's lanes in input order (a single scenario is one lane).
-    fn lanes(&self) -> &[(usize, ScenarioSpec)] {
+    /// `(index, name, effective seed)` of the unit's lanes in input order
+    /// (a single scenario is one lane).
+    fn lane_ids(&self) -> Vec<(usize, String, u64)> {
         match self {
-            Self::Single(lane) => std::slice::from_ref(lane),
-            Self::Fleet(lanes) => lanes,
+            Self::Single(index, scenario) => {
+                vec![(*index, scenario.name().to_owned(), scenario.seed(*index))]
+            }
+            Self::Fleet(lanes) => lanes
+                .iter()
+                .map(|(index, spec)| (*index, spec.name.clone(), spec.effective_seed(*index)))
+                .collect(),
         }
     }
 }
@@ -1707,12 +1689,16 @@ fn disperse_config(config: &mut PlatformConfig, d: &Dispersion, lane_seed: u64) 
 /// expanded list plus, per expanded index, the input index of the
 /// Monte-Carlo parent (`None` for plain scenarios): the grouping key for
 /// batched fleet execution.
-fn expand_monte_carlo(scenarios: Vec<ScenarioSpec>) -> (Vec<ScenarioSpec>, Vec<Option<usize>>) {
+fn expand_monte_carlo<S: Into<Scenario>>(scenarios: Vec<S>) -> (Vec<Scenario>, Vec<Option<usize>>) {
     let mut expanded = Vec::with_capacity(scenarios.len());
     let mut parents = Vec::with_capacity(scenarios.len());
-    for (parent, spec) in scenarios.into_iter().enumerate() {
-        let Some((lanes, dispersion)) = spec.monte_carlo else {
-            expanded.push(spec);
+    for (parent, scenario) in scenarios.into_iter().map(Into::into).enumerate() {
+        let monte_carlo = match &scenario {
+            Scenario::Platform(spec) => spec.monte_carlo.map(|mc| (spec, mc)),
+            Scenario::Channel(_) => None,
+        };
+        let Some((spec, (lanes, dispersion))) = monte_carlo else {
+            expanded.push(scenario);
             parents.push(None);
             continue;
         };
@@ -1724,7 +1710,7 @@ fn expand_monte_carlo(scenarios: Vec<ScenarioSpec>) -> (Vec<ScenarioSpec>, Vec<O
             s.name = format!("{}/mc{lane}", spec.name);
             s.seed = Some(lane_seed);
             disperse_config(&mut s.config, &dispersion, lane_seed);
-            expanded.push(s);
+            expanded.push(Scenario::Platform(s));
             parents.push(Some(parent));
         }
     }
@@ -1751,10 +1737,10 @@ fn fleet_run_for(
 }
 
 /// Runs one attempt of a group of Monte-Carlo sibling lanes batched on a
-/// [`PlatformFleet`]: the SoA transcription of [`run_attempt`] restricted
-/// to the fleet-safe step vocabulary ([`fleet_eligible`]). Outcomes are
-/// byte-identical to running each lane through the scalar path — the
-/// fleet's determinism contract. If the built platforms turn out
+/// [`PlatformFleet`]: the SoA transcription of [`run_platform_attempt`]
+/// restricted to the fleet-safe step vocabulary ([`fleet_eligible`]).
+/// Outcomes are byte-identical to running each lane through the scalar
+/// path — the fleet's determinism contract. If the built platforms turn out
 /// fleet-ineligible after all (e.g. an armed recorder), the lanes fall
 /// back to scalar execution inside this same attempt, with identical
 /// results.
@@ -1767,24 +1753,11 @@ fn run_fleet_attempt(
     let mut platforms = Vec::with_capacity(lanes.len());
     for (index, spec) in lanes {
         let mut config = spec.config.clone();
-        let seed = spec
-            .seed
-            .unwrap_or_else(|| derive_seed(config.seed, *index as u64));
+        let seed = spec.effective_seed(*index);
         config.seed = seed;
-        outs.push(ScenarioOutcome {
-            name: spec.name.clone(),
-            index: *index,
-            seed,
-            metrics: Vec::new(),
-            series: Vec::new(),
-            // Eligibility guarantees empty fault plans, so the scalar
-            // path's class scrape is vacuous here.
-            fault_classes: Vec::new(),
-            transitions: Vec::new(),
-            capture: None,
-            attempt_errors: Vec::new(),
-            status: ScenarioStatus::Done,
-        });
+        // Eligibility guarantees empty fault plans, so the scalar path's
+        // fault-class scrape is vacuous here.
+        outs.push(ScenarioOutcome::started(&spec.name, *index, seed));
         platforms.push(Platform::new(config));
     }
     let mut fleet = match PlatformFleet::new(platforms) {
@@ -1795,7 +1768,7 @@ fn run_fleet_attempt(
             return lanes
                 .iter()
                 .map(|(index, spec)| {
-                    run_attempt(*index, 0, spec, None, &dummy_hits, None, ctx, None)
+                    run_platform_attempt(*index, 0, spec, None, &dummy_hits, None, ctx)
                         .map(|(out, _)| out)
                 })
                 .collect();
@@ -1805,9 +1778,7 @@ fn run_fleet_attempt(
     // rate; only seeds and dispersed physical parameters differ.
     let spec0 = &lanes[0].1;
     let dsp_rate = spec0.config.dsp_rate.0;
-    let timed_out = |_: Cancelled| ScenarioError::TimedOut {
-        deadline_s: ctx.deadline_s().unwrap_or(0.0),
-    };
+    let timed_out = |_: Cancelled| ctx.timed_out();
     let mut acc = vec![0.0; lanes.len()];
     for step in &spec0.steps {
         match step {
@@ -1865,27 +1836,20 @@ fn poisoned_outcome(
     errors: Vec<ScenarioError>,
 ) -> ScenarioOutcome {
     ScenarioOutcome {
-        name: name.to_owned(),
-        index,
-        seed,
-        metrics: Vec::new(),
-        series: Vec::new(),
-        fault_classes: Vec::new(),
-        transitions: Vec::new(),
-        capture: None,
         attempt_errors: errors,
         status: ScenarioStatus::Poisoned,
+        ..ScenarioOutcome::started(name, index, seed)
     }
 }
 
 /// Ticks per cancellation check inside tick-stepped measurement loops.
-const HEARTBEAT_TICKS: u64 = 1024;
+pub(crate) const HEARTBEAT_TICKS: u64 = 1024;
 
 /// Ticks per [`Platform::step_block`] chunk inside [`run_for`].
 const RUN_BLOCK_TICKS: u64 = 4096;
 
 /// Marker error: the watchdog cancelled this attempt.
-struct Cancelled;
+pub(crate) struct Cancelled;
 
 /// Per-attempt-slot watchdog state.
 struct WatchdogSlot {
@@ -1995,7 +1959,7 @@ impl Drop for Watchdog {
 /// A worker's handle on the watchdog for one scenario attempt (no-op when
 /// the watchdog is unarmed).
 #[derive(Clone, Copy)]
-struct AttemptCtx<'a> {
+pub(crate) struct AttemptCtx<'a> {
     watchdog: Option<&'a Watchdog>,
     slot: usize,
 }
@@ -2020,7 +1984,7 @@ impl AttemptCtx<'_> {
     }
 
     /// Heartbeats and observes a pending cancellation.
-    fn check(&self) -> Result<(), Cancelled> {
+    pub(crate) fn check(&self) -> Result<(), Cancelled> {
         match self.watchdog {
             Some(w) => {
                 w.heartbeat(self.slot);
@@ -2041,6 +2005,14 @@ impl AttemptCtx<'_> {
 
     fn deadline_s(&self) -> Option<f64> {
         self.watchdog.map(Watchdog::deadline_s)
+    }
+
+    /// The error a cancelled attempt reports: the configured deadline,
+    /// never measured wall time.
+    fn timed_out(&self) -> ScenarioError {
+        ScenarioError::TimedOut {
+            deadline_s: self.deadline_s().unwrap_or(0.0),
+        }
     }
 }
 
@@ -2131,18 +2103,7 @@ fn warm_key(config: &PlatformConfig, prefix: &[Step]) -> u64 {
 /// be a partial artifact of one worker's deadline.
 fn warm_prefix(config: &PlatformConfig, prefix: &[Step]) -> WarmEntry {
     let mut p = Platform::new(config.clone());
-    let mut out = ScenarioOutcome {
-        name: String::new(),
-        index: 0,
-        seed: config.seed,
-        metrics: Vec::new(),
-        series: Vec::new(),
-        fault_classes: Vec::new(),
-        transitions: Vec::new(),
-        capture: None,
-        attempt_errors: Vec::new(),
-        status: ScenarioStatus::Done,
-    };
+    let mut out = ScenarioOutcome::started("", 0, config.seed);
     let mut scratch = Scratch::default();
     let mut aborted = false;
     for step in prefix {
@@ -2181,18 +2142,18 @@ struct Scratch {
     sensitivity: Option<f64>,
 }
 
-/// Runs one attempt of one scenario.
+/// Runs one attempt of one scenario of either kind.
 ///
 /// `Err` means the attempt was cancelled by the watchdog (a panic
 /// propagates to the caller's `catch_unwind` instead); `Ok` carries the
 /// outcome plus whether the warm cache hit. Chaos injections fire before
-/// the platform is built, so an injected attempt never perturbs
-/// simulation state.
+/// the platform or channel is built, so an injected attempt never
+/// perturbs simulation state.
 #[allow(clippy::too_many_arguments)]
 fn run_attempt(
     index: usize,
     attempt: u32,
-    spec: &ScenarioSpec,
+    scenario: &Scenario,
     cache: Option<&WarmCache>,
     hits: &AtomicUsize,
     collector: Option<&TraceCollector>,
@@ -2220,13 +2181,57 @@ fn run_attempt(
             ChaosInjection::None => {}
         }
     }
+    match scenario {
+        Scenario::Platform(spec) => {
+            run_platform_attempt(index, attempt, spec, cache, hits, collector, ctx)
+        }
+        Scenario::Channel(sc) => {
+            let (trace, span) = scenario_span(collector, index, &sc.name, attempt);
+            let (out, sim_end) =
+                run_channel_scenario(index, sc, ctx).map_err(|Cancelled| ctx.timed_out())?;
+            if let (Some(mut tr), Some(c)) = (trace, collector) {
+                tr.end(span, sim_end);
+                c.merge(tr);
+            }
+            Ok((out, false))
+        }
+    }
+}
+
+/// Opens a scenario's span on its own track (`index + 1`), annotated with
+/// the attempt number on retries; `(None, NULL)` when tracing is off.
+fn scenario_span(
+    collector: Option<&TraceCollector>,
+    index: usize,
+    name: &str,
+    attempt: u32,
+) -> (Option<TraceRecorder>, SpanId) {
+    let Some(c) = collector else {
+        return (None, SpanId::NULL);
+    };
+    let mut tr = c.recorder(index as u64 + 1);
+    let span = tr.begin(format!("scenario:{name}"), 0.0);
+    if attempt > 0 {
+        tr.annotate(span, "attempt", attempt.to_string());
+    }
+    (Some(tr), span)
+}
+
+/// Runs one attempt of a full-platform scenario (see [`run_attempt`]).
+fn run_platform_attempt(
+    index: usize,
+    attempt: u32,
+    spec: &ScenarioSpec,
+    cache: Option<&WarmCache>,
+    hits: &AtomicUsize,
+    collector: Option<&TraceCollector>,
+    ctx: AttemptCtx<'_>,
+) -> Result<(ScenarioOutcome, bool), ScenarioError> {
     let mut config = spec.config.clone();
     for fault in spec.faults.specs() {
         config.faults.push(*fault);
     }
-    let seed = spec
-        .seed
-        .unwrap_or_else(|| derive_seed(config.seed, index as u64));
+    let seed = spec.effective_seed(index);
     config.seed = seed;
     let fault_classes = {
         let mut classes: Vec<&'static str> = Vec::new();
@@ -2240,26 +2245,10 @@ fn run_attempt(
     };
 
     let mut out = ScenarioOutcome {
-        name: spec.name.clone(),
-        index,
-        seed,
-        metrics: Vec::new(),
-        series: Vec::new(),
         fault_classes,
-        transitions: Vec::new(),
-        capture: None,
-        attempt_errors: Vec::new(),
-        status: ScenarioStatus::Done,
+        ..ScenarioOutcome::started(&spec.name, index, seed)
     };
-    let mut trace = collector.map(|c| c.recorder(index as u64 + 1));
-    let span = trace.as_mut().map_or(SpanId::NULL, |tr| {
-        tr.begin(format!("scenario:{}", out.name), 0.0)
-    });
-    if attempt > 0 {
-        if let Some(tr) = trace.as_mut() {
-            tr.annotate(span, "attempt", attempt.to_string());
-        }
-    }
+    let (mut trace, span) = scenario_span(collector, index, &spec.name, attempt);
     if let Err(e) = config.validate() {
         // An invalid spec is a scenario result, not a campaign abort.
         out.metrics.push(("config_valid".into(), 0.0));
@@ -2346,9 +2335,7 @@ fn run_attempt(
     if cancelled {
         // The attempt's trace recorder dies with the platform: only
         // completed attempts contribute spans.
-        return Err(ScenarioError::TimedOut {
-            deadline_s: ctx.deadline_s().unwrap_or(0.0),
-        });
+        return Err(ctx.timed_out());
     }
     // Deterministic observability results: transitions, capture, and (when
     // a recorder was armed) whether it fired.
@@ -3017,20 +3004,20 @@ mod tests {
     #[test]
     fn planner_batches_eligible_sibling_lanes() {
         let (expanded, parents) = expand_monte_carlo(vec![mc_spec()]);
-        let work: Vec<(usize, ScenarioSpec)> = expanded.into_iter().enumerate().collect();
+        let work: Vec<(usize, Scenario)> = expanded.into_iter().enumerate().collect();
         let units = runner(1).plan_units(work.clone(), &parents);
         assert_eq!(units.len(), 1);
-        assert!(matches!(&units[0], WorkUnit::Fleet(lanes) if lanes.len() == 5));
+        let WorkUnit::Fleet(lanes) = &units[0] else {
+            panic!("mc lanes must batch onto one fleet unit");
+        };
+        assert_eq!(lanes.len(), 5);
         // The batched lanes must be genuinely fleet-able, not silently
         // falling back to scalar at attempt time.
-        let platforms: Vec<Platform> = units[0]
-            .lanes()
+        let platforms: Vec<Platform> = lanes
             .iter()
             .map(|(index, spec)| {
                 let mut config = spec.config.clone();
-                config.seed = spec
-                    .seed
-                    .unwrap_or_else(|| derive_seed(config.seed, *index as u64));
+                config.seed = spec.effective_seed(*index);
                 Platform::new(config)
             })
             .collect();
@@ -3046,17 +3033,49 @@ mod tests {
             let scalar_runner = CampaignRunner::with_options(options.build().expect("valid"));
             let units = scalar_runner.plan_units(work.clone(), &parents);
             assert_eq!(units.len(), 5);
-            assert!(units.iter().all(|u| matches!(u, WorkUnit::Single(_))));
+            assert!(units.iter().all(|u| matches!(u, WorkUnit::Single(..))));
         }
+    }
+
+    #[test]
+    fn exhausted_fleet_group_poisons_every_lane_with_the_shared_history() {
+        // A population far too long for a 1 ms deadline: the lockstep
+        // batch times out on every attempt and fails whole.
+        let spec = mc_spec().with_step(Step::Run { seconds: 60.0 });
+        let options = CampaignOptions::builder()
+            .threads(1)
+            .retries(1)
+            .backoff_ms(1)
+            .deadline_s(0.001)
+            .build()
+            .expect("valid");
+        let runner = CampaignRunner::with_options(options);
+        let (expanded, parents) = expand_monte_carlo(vec![spec.clone()]);
+        let units = runner.plan_units(expanded.into_iter().enumerate().collect(), &parents);
+        assert!(
+            matches!(&units[..], [WorkUnit::Fleet(lanes)] if lanes.len() == 5),
+            "the population must run as one fleet unit"
+        );
+        let report = runner.run(vec![spec]);
+        let history = vec![ScenarioError::TimedOut { deadline_s: 0.001 }; 2];
+        assert_eq!(report.outcomes.len(), 5);
+        for (lane, out) in report.outcomes.iter().enumerate() {
+            assert_eq!(out.name, format!("mc/mc{lane}"));
+            assert_eq!(out.index, lane);
+            assert_eq!(out.status, ScenarioStatus::Poisoned);
+            assert_eq!(out.attempt_errors, history, "lane {lane}");
+            assert!(out.metrics.is_empty());
+        }
+        assert_eq!(report.poisoned(), 5);
     }
 
     #[test]
     fn planner_splits_populations_at_the_fleet_width() {
         let spec = mc_spec().monte_carlo(20, Dispersion::none());
         let (expanded, parents) = expand_monte_carlo(vec![spec]);
-        let work: Vec<(usize, ScenarioSpec)> = expanded.into_iter().enumerate().collect();
+        let work: Vec<(usize, Scenario)> = expanded.into_iter().enumerate().collect();
         let units = runner(1).plan_units(work, &parents);
-        let widths: Vec<usize> = units.iter().map(|u| u.lanes().len()).collect();
+        let widths: Vec<usize> = units.iter().map(|u| u.lane_ids().len()).collect();
         assert_eq!(widths, vec![FLEET_GROUP_MAX, 4]);
     }
 

@@ -20,10 +20,10 @@
 //!   reference;
 //! - **campaign measurements**: [`ChannelScenario`] retargets the Step
 //!   DSL's measurement semantics (static transfer, noise density, fault
-//!   response) and produces ordinary
-//!   [`crate::campaign::ScenarioOutcome`]s, so channel sweeps merge into a
-//!   [`crate::campaign::CampaignReport`] next to gyro scenarios and flow
-//!   through the same CSV/coverage/telemetry artifacts;
+//!   response) and runs on the [`crate::campaign::CampaignRunner`] as a
+//!   [`crate::campaign::Scenario::Channel`], next to gyro scenarios in one
+//!   campaign — with the same supervision (watchdog, retry, chaos), journal,
+//!   spans and CSV/coverage/telemetry artifacts;
 //! - **checkpointing**: [`SensorChannel::save_state`] /
 //!   [`SensorChannel::load_state`] snapshot every component bit-exactly and
 //!   refuse restores across configuration changes via a config digest that
@@ -43,7 +43,7 @@
 //! assert!((kpa - 150.0).abs() < 3.0);
 //! ```
 
-use crate::campaign::{derive_seed, ScenarioOutcome, ScenarioStatus};
+use crate::campaign::{derive_seed, AttemptCtx, Cancelled, ScenarioOutcome, HEARTBEAT_TICKS};
 use ascp_afe::adc::{AdcConfig, SarAdc};
 use ascp_afe::amp::Pga;
 use ascp_afe::refs::VoltageReference;
@@ -734,9 +734,9 @@ pub enum ChannelMeasurement {
 
 /// One generic-channel scenario: a channel factory plus a measurement.
 ///
-/// The factory takes the effective seed, so Monte-Carlo-style reseeding
-/// composes the same way [`crate::campaign::derive_seed`] does for
-/// platform scenarios.
+/// Run it on a [`crate::campaign::CampaignRunner`] (it converts into a
+/// [`crate::campaign::Scenario`]); the factory receives `seed` verbatim,
+/// so the outcome is the same at any position and thread count.
 #[derive(Clone)]
 pub struct ChannelScenario {
     /// Scenario name (report rows).
@@ -745,20 +745,8 @@ pub struct ChannelScenario {
     pub factory: Arc<dyn Fn(u64) -> SensorChannel + Send + Sync>,
     /// The measurement to perform.
     pub measurement: ChannelMeasurement,
-    /// Base seed.
+    /// Effective noise seed handed to the factory.
     pub seed: u64,
-}
-
-/// Runs channel scenarios on the shared worker pool and returns campaign
-/// outcomes in input order — bit-identical for any `threads`.
-#[must_use]
-pub fn run_channel_scenarios(
-    scenarios: Vec<ChannelScenario>,
-    threads: usize,
-) -> Vec<ScenarioOutcome> {
-    ascp_sim::campaign::parallel_map(scenarios, threads, |index, sc| {
-        run_channel_scenario(index, &sc)
-    })
 }
 
 fn fault_kind(fault: WireFault) -> FaultKind {
@@ -777,9 +765,17 @@ fn expected_status(fault: WireFault) -> ChannelStatus {
     }
 }
 
-fn run_channel_scenario(index: usize, sc: &ChannelScenario) -> ScenarioOutcome {
-    let seed = derive_seed(sc.seed, index as u64);
-    let mut ch = (sc.factory)(seed);
+/// Runs one attempt of `sc` at campaign position `index`: builds the
+/// channel, performs the measurement, and returns the outcome plus the
+/// simulated seconds the channel ran. Observes a pending watchdog
+/// cancellation between measurement phases and every [`HEARTBEAT_TICKS`]
+/// samples of the wire-fault loop.
+pub(crate) fn run_channel_scenario(
+    index: usize,
+    sc: &ChannelScenario,
+    ctx: AttemptCtx<'_>,
+) -> Result<(ScenarioOutcome, f64), Cancelled> {
+    let mut ch = (sc.factory)(sc.seed);
     let mut metrics: Vec<(String, f64)> = Vec::new();
     let mut series: Vec<(String, Vec<f64>)> = Vec::new();
     let mut fault_classes: Vec<&'static str> = Vec::new();
@@ -790,6 +786,7 @@ fn run_channel_scenario(index: usize, sc: &ChannelScenario) -> ScenarioOutcome {
             let mut eus = Vec::with_capacity(points.len());
             let mut node_v = Vec::with_capacity(points.len());
             for &p in points {
+                ctx.check()?;
                 ch.set_stimulus(p);
                 ch.settle(0.01);
                 let outs = ch.collect(*avg);
@@ -814,6 +811,7 @@ fn run_channel_scenario(index: usize, sc: &ChannelScenario) -> ScenarioOutcome {
         ChannelMeasurement::NoiseDensity { at, samples } => {
             ch.set_stimulus(*at);
             ch.settle(0.05);
+            ctx.check()?;
             let xs = ch.collect(*samples);
             let m = stats::mean(&xs);
             let centred: Vec<f64> = xs.iter().map(|x| x - m).collect();
@@ -838,7 +836,12 @@ fn run_channel_scenario(index: usize, sc: &ChannelScenario) -> ScenarioOutcome {
             let mut detected_at = None;
             let mut recovered = false;
             let end = at_s + duration_s + 0.1;
+            let mut tick = 0u64;
             while ch.time() < end {
+                if tick.is_multiple_of(HEARTBEAT_TICKS) {
+                    ctx.check()?;
+                }
+                tick += 1;
                 let _ = ch.step();
                 if detected_at.is_none() && ch.status() == expect {
                     detected_at = Some(ch.time());
@@ -863,18 +866,14 @@ fn run_channel_scenario(index: usize, sc: &ChannelScenario) -> ScenarioOutcome {
         }
     }
 
-    ScenarioOutcome {
-        name: sc.name.clone(),
-        index,
-        seed,
+    let out = ScenarioOutcome {
         metrics,
         series,
         fault_classes,
         transitions: ch.transitions().to_vec(),
-        capture: None,
-        attempt_errors: Vec::new(),
-        status: ScenarioStatus::Done,
-    }
+        ..ScenarioOutcome::started(&sc.name, index, sc.seed)
+    };
+    Ok((out, ch.time()))
 }
 
 #[cfg(test)]
@@ -984,40 +983,5 @@ mod tests {
         let mut other = map_channel(32); // different seed -> different digest
         let mut r = StateReader::new(&bytes);
         assert!(other.load_state(&mut r).is_err());
-    }
-
-    #[test]
-    fn scenarios_are_thread_count_invariant() {
-        let mk = || {
-            vec![
-                ChannelScenario {
-                    name: "map_transfer".into(),
-                    factory: Arc::new(map_channel),
-                    measurement: ChannelMeasurement::StaticTransfer {
-                        points: vec![50.0, 150.0, 250.0],
-                        avg: 16,
-                    },
-                    seed: 7,
-                },
-                ChannelScenario {
-                    name: "map_nc".into(),
-                    factory: Arc::new(map_channel),
-                    measurement: ChannelMeasurement::WireFaultResponse {
-                        fault: WireFault::NotConnected,
-                        at_s: 0.05,
-                        duration_s: 0.05,
-                    },
-                    seed: 7,
-                },
-            ]
-        };
-        let one = run_channel_scenarios(mk(), 1);
-        let four = run_channel_scenarios(mk(), 4);
-        assert_eq!(one.len(), four.len());
-        for (a, b) in one.iter().zip(&four) {
-            assert_eq!(a.metrics, b.metrics);
-            assert_eq!(a.transitions, b.transitions);
-        }
-        assert_eq!(one[1].metric("detected"), Some(1.0));
     }
 }

@@ -40,7 +40,7 @@
 //!
 //! [`CaptureBundle`]: ascp_sim::telemetry::CaptureBundle
 
-use crate::campaign::{ScenarioError, ScenarioOutcome, ScenarioSpec, ScenarioStatus};
+use crate::campaign::{Scenario, ScenarioError, ScenarioOutcome, ScenarioStatus};
 use crate::checkpoint;
 use ascp_sim::fault::FaultKind;
 use ascp_sim::snapshot::{fnv1a64, SnapshotError, StateReader, StateWriter};
@@ -134,23 +134,34 @@ impl From<SnapshotError> for JournalError {
 /// Digest of a whole campaign's scenario list: what binds a journal to
 /// the exact campaign that wrote it.
 ///
-/// Covers each scenario's position, name, configuration (through
+/// Covers each platform scenario's position, name, configuration (through
 /// [`checkpoint::config_digest`]), extra fault plan, duration floor, seed
-/// override and step list — everything that determines the scenario's
-/// deterministic outcome.
+/// override and step list, and each channel scenario's position, name,
+/// seed, measurement and built channel's
+/// [`crate::frontend::SensorChannel::config_digest`] — everything that
+/// determines a scenario's deterministic outcome.
 #[must_use]
-pub fn campaign_digest(scenarios: &[ScenarioSpec]) -> u64 {
+pub fn campaign_digest(scenarios: &[Scenario]) -> u64 {
     let mut canon = String::new();
-    for (i, s) in scenarios.iter().enumerate() {
-        canon.push_str(&format!(
-            "{i}|{}|{:#018x}|{:?}|{}|{:?}|{:?}\n",
-            s.name,
-            checkpoint::config_digest(&s.config),
-            s.faults.specs().collect::<Vec<_>>(),
-            s.duration_s,
-            s.seed,
-            s.steps
-        ));
+    for (i, scenario) in scenarios.iter().enumerate() {
+        canon.push_str(&match scenario {
+            Scenario::Platform(s) => format!(
+                "{i}|{}|{:#018x}|{:?}|{}|{:?}|{:?}\n",
+                s.name,
+                checkpoint::config_digest(&s.config),
+                s.faults.specs().collect::<Vec<_>>(),
+                s.duration_s,
+                s.seed,
+                s.steps
+            ),
+            Scenario::Channel(c) => format!(
+                "{i}|channel|{}|{}|{:?}|{:#018x}\n",
+                c.name,
+                c.seed,
+                c.measurement,
+                (c.factory)(c.seed).config_digest()
+            ),
+        });
     }
     fnv1a64(canon.as_bytes())
 }
@@ -380,9 +391,20 @@ fn intern_fault_label(label: &str) -> &'static str {
 }
 
 /// Re-interns a supervisor-state label (see
-/// [`crate::supervisor::SupervisorState::label`]).
+/// [`crate::supervisor::SupervisorState::label`] and
+/// [`crate::frontend::ChannelStatus::label`]).
 fn intern_state_label(label: &str) -> &'static str {
-    const STATES: [&str; 5] = ["init", "normal", "degraded", "safe_state", "recovery"];
+    const STATES: [&str; 9] = [
+        "init",
+        "normal",
+        "degraded",
+        "safe_state",
+        "recovery",
+        "not_connected",
+        "short_to_ground",
+        "reverse_polarity",
+        "out_of_range",
+    ];
     STATES
         .iter()
         .find(|&&l| l == label)

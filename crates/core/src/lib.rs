@@ -63,13 +63,12 @@ pub mod verify;
 pub mod prelude {
     pub use crate::campaign::{
         CampaignOptions, CampaignOptionsBuilder, CampaignReport, CampaignRunner, ChaosPlan,
-        Dispersion, ScenarioError, ScenarioOutcome, ScenarioSpec, ScenarioStatus, Step,
+        Dispersion, Scenario, ScenarioError, ScenarioOutcome, ScenarioSpec, ScenarioStatus, Step,
     };
     pub use crate::chain::SenseMode;
     pub use crate::datasheet::CrossSensorReport;
     pub use crate::frontend::{
-        run_channel_scenarios, ChannelConfig, ChannelMeasurement, ChannelScenario, ChannelStatus,
-        SensorChannel,
+        ChannelConfig, ChannelMeasurement, ChannelScenario, ChannelStatus, SensorChannel,
     };
     pub use crate::journal::JournalError;
     pub use crate::platform::{

@@ -6,8 +6,10 @@
 //! A fixed mixed-scenario list runs unconditionally; a randomized
 //! property-test variant runs under `--features proptest`.
 
+mod common;
+
 use ascp_core::campaign::{
-    CampaignOptions, CampaignOptionsBuilder, CampaignRunner, ScenarioSpec, Step,
+    CampaignOptions, CampaignOptionsBuilder, CampaignRunner, Scenario, ScenarioSpec, Step,
 };
 
 /// Runner with `threads` workers and otherwise default options.
@@ -77,17 +79,22 @@ fn scenario_list() -> Vec<ScenarioSpec> {
 
 /// Strips the wall clock (the only legitimately nondeterministic field) so
 /// reports can be compared whole.
-fn fingerprint(runner: &CampaignRunner, specs: Vec<ScenarioSpec>) -> (String, String) {
+fn fingerprint<S: Into<Scenario>>(runner: &CampaignRunner, specs: Vec<S>) -> (String, String) {
     let report = runner.run(specs);
-    assert_eq!(report.threads, runner.threads());
+    assert_eq!(report.threads, runner.options().threads());
     (report.to_csv(), report.to_telemetry().to_json())
 }
 
+/// One mixed campaign — gyro platform scenarios plus generic sensor
+/// channels — renders identically at any thread count.
 #[test]
 fn report_is_bit_identical_at_1_2_and_4_threads() {
-    let (csv1, json1) = fingerprint(&runner(1), scenario_list());
-    let (csv2, json2) = fingerprint(&runner(2), scenario_list());
-    let (csv4, json4) = fingerprint(&runner(4), scenario_list());
+    let mixed = || common::with_channels(scenario_list());
+    let (csv1, json1) = fingerprint(&runner(1), mixed());
+    let (csv2, json2) = fingerprint(&runner(2), mixed());
+    let (csv4, json4) = fingerprint(&runner(4), mixed());
+    assert!(csv1.contains("map/fault/nc,detected,1,ok"), "{csv1}");
+    assert!(csv1.contains("map/transfer,transfer_slope,"), "{csv1}");
     assert_eq!(csv1, csv2, "CSV differs between 1 and 2 threads");
     assert_eq!(csv1, csv4, "CSV differs between 1 and 4 threads");
     assert_eq!(
@@ -117,14 +124,16 @@ fn more_threads_than_scenarios_is_fine() {
 }
 
 /// Tracing is observability, not simulation state: switching it on (at any
-/// thread count) must leave the deterministic artifacts byte-identical.
+/// thread count) must leave the deterministic artifacts byte-identical,
+/// for platform and sensor-channel scenarios alike.
 #[test]
 fn tracing_does_not_change_results() {
-    let (csv_off, json_off) = fingerprint(&runner(1), scenario_list());
+    let mixed = || common::with_channels(scenario_list());
+    let (csv_off, json_off) = fingerprint(&runner(1), mixed());
     for threads in [1, 2, 4] {
         let (csv, json) = fingerprint(
             &configured(CampaignOptions::builder().threads(threads).tracing(true)),
-            scenario_list(),
+            mixed(),
         );
         assert_eq!(
             csv_off, csv,

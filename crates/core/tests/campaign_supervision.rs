@@ -4,10 +4,14 @@
 //! thread-count invariant — the same promises `campaign_determinism`
 //! makes for healthy campaigns, extended to unhealthy ones.
 
+mod common;
+
 use ascp_core::campaign::{
     CampaignOptions, CampaignOptionsBuilder, CampaignRunner, ChaosInjection, ChaosPlan,
     ScenarioError, ScenarioSpec, ScenarioStatus, Step,
 };
+use ascp_core::frontend::ChannelMeasurement;
+use ascp_mems::frontend::WireFault;
 
 /// Runner with `threads` workers and otherwise default options.
 fn runner(threads: usize) -> CampaignRunner {
@@ -43,6 +47,12 @@ fn scenario_list() -> Vec<ScenarioSpec> {
 /// at least one panic and at least one stall (search is deterministic, so
 /// the tests stay reproducible).
 fn chaos_seed_with_both(n: usize) -> u64 {
+    chaos_seed_injecting_from(n, 0)
+}
+
+/// [`chaos_seed_with_both`], additionally injecting at least one scenario
+/// at index `from` or later.
+fn chaos_seed_injecting_from(n: usize, from: usize) -> u64 {
     (0..4096u64)
         .find(|&seed| {
             let plan = ChaosPlan::new(seed);
@@ -50,6 +60,7 @@ fn chaos_seed_with_both(n: usize) -> u64 {
             decisions.contains(&ChaosInjection::Panic)
                 && decisions.contains(&ChaosInjection::Stall)
                 && decisions.contains(&ChaosInjection::None)
+                && decisions[from..].iter().any(|d| *d != ChaosInjection::None)
         })
         .expect("some seed in 0..4096 mixes panic, stall, and healthy")
 }
@@ -113,11 +124,14 @@ fn chaos_without_retries_poisons_deterministically_at_any_thread_count() {
 
 /// With the default retry budget, every chaos-injected scenario recovers
 /// on its clean retry and the *entire* CSV is byte-identical to an
-/// undisturbed run — the seed is re-derived, not advanced.
+/// undisturbed run — the seed is re-derived, not advanced. The campaign
+/// mixes gyro and sensor-channel scenarios, and the chaos plan hits at
+/// least one channel.
 #[test]
 fn chaos_with_retries_is_byte_identical_to_undisturbed() {
-    let seed = chaos_seed_with_both(8);
-    let clean = runner(2).run(scenario_list());
+    let mixed = || common::with_channels(scenario_list());
+    let seed = chaos_seed_injecting_from(mixed().len(), scenario_list().len());
+    let clean = runner(2).run(mixed());
     for threads in [1, 2, 4] {
         let chaotic = configured(
             CampaignOptions::builder()
@@ -126,7 +140,7 @@ fn chaos_with_retries_is_byte_identical_to_undisturbed() {
                 .backoff_ms(1)
                 .chaos(ChaosPlan::new(seed).with_stall_cap_s(0.05)),
         )
-        .run(scenario_list());
+        .run(mixed());
         assert_eq!(chaotic.poisoned(), 0, "retry must recover every scenario");
         assert!(chaotic.retries_total() > 0, "chaos must have injected");
         assert_eq!(
@@ -173,6 +187,43 @@ fn watchdog_cancels_overrunning_scenarios_at_the_configured_deadline() {
     assert!(report.timeouts_total() >= 1);
     // The sibling scenario drained normally.
     assert_eq!(report.outcomes[1].status, ScenarioStatus::Done);
+}
+
+/// A sensor-channel scenario is supervised like a platform one: a long
+/// wire-fault run under a 1 ms deadline is cancelled from inside its
+/// stepping loop and quarantined as timed out, not run to completion.
+#[test]
+fn watchdog_cancels_an_overrunning_channel_scenario() {
+    let long_fault = common::map_scenario(
+        "map/fault/long",
+        ChannelMeasurement::WireFaultResponse {
+            fault: WireFault::NotConnected,
+            at_s: 0.05,
+            // ~50 s of simulated channel time: minutes of wall clock if
+            // the watchdog never fired.
+            duration_s: 50.0,
+        },
+    );
+    let report = configured(
+        CampaignOptions::builder()
+            .threads(1)
+            .backoff_ms(1)
+            .deadline_s(0.001),
+    )
+    .run(vec![long_fault]);
+    let o = &report.outcomes[0];
+    assert_eq!(o.status, ScenarioStatus::Poisoned);
+    assert_eq!(
+        o.attempt_errors,
+        vec![ScenarioError::TimedOut { deadline_s: 0.001 }; 2],
+        "both attempts must time out at the configured deadline"
+    );
+    assert!(o.metrics.is_empty(), "a cancelled run reports no metrics");
+    assert!(
+        report.wall_s < 10.0,
+        "cancellation took {} s",
+        report.wall_s
+    );
 }
 
 /// Supervision events flow through telemetry: the Prometheus exposition

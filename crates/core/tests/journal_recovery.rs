@@ -3,8 +3,10 @@
 //! byte-identical merged report or fail with a typed error — never
 //! silently produce a different campaign.
 
+mod common;
+
 use ascp_core::campaign::{
-    CampaignOptions, CampaignOptionsBuilder, CampaignRunner, ScenarioSpec, Step,
+    CampaignOptions, CampaignOptionsBuilder, CampaignRunner, Scenario, ScenarioSpec, Step,
 };
 
 /// Runner with `threads` workers and otherwise default options.
@@ -39,6 +41,11 @@ fn scenario_list() -> Vec<ScenarioSpec> {
         .collect()
 }
 
+/// [`scenario_list`] as runner scenarios (the journal digest's input).
+fn platform_list() -> Vec<Scenario> {
+    scenario_list().into_iter().map(Scenario::from).collect()
+}
+
 /// A scratch path under the system temp dir, unique per test.
 fn scratch(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("ascp_journal_recovery");
@@ -65,12 +72,14 @@ fn record_boundaries(bytes: &[u8]) -> Vec<usize> {
 
 /// A journal truncated mid-record (any cut point at or past the header)
 /// resumes to a merged report byte-identical to the uninterrupted run —
-/// at 1, 2, and 4 worker threads.
+/// at 1, 2, and 4 worker threads, for a campaign mixing gyro and sensor
+/// channel scenarios.
 #[test]
 fn truncated_mid_record_journal_resumes_byte_identically() {
     let path = scratch("truncated.journal");
+    let mixed = || common::with_channels(scenario_list());
     let baseline = runner(2)
-        .run_with_journal(scenario_list(), &path)
+        .run_with_journal(mixed(), &path)
         .expect("journaled run");
     let full = std::fs::read(&path).expect("journal bytes");
     let bounds = record_boundaries(&full);
@@ -91,7 +100,7 @@ fn truncated_mid_record_journal_resumes_byte_identically() {
         for threads in [1, 2, 4] {
             std::fs::write(&path, &full[..cut]).expect("write truncated journal");
             let resumed = runner(threads)
-                .resume(scenario_list(), &path)
+                .resume(mixed(), &path)
                 .expect("resume survives a torn tail");
             assert_eq!(
                 baseline.to_csv(),
@@ -149,7 +158,7 @@ fn duplicate_scenario_records_resolve_last_wins() {
     let report = runner(1)
         .run_with_journal(scenario_list(), &path)
         .expect("journaled run");
-    let digest = journal::campaign_digest(&scenario_list());
+    let digest = journal::campaign_digest(&platform_list());
 
     // Tear the tail, then append a doctored duplicate of scenario 0.
     let full = std::fs::read(&path).expect("journal bytes");
@@ -180,7 +189,7 @@ fn duplicate_scenario_records_resolve_last_wins() {
 #[test]
 fn partial_journal_resumes_to_byte_identical_merged_report() {
     let baseline = runner(2).run(scenario_list());
-    let digest = journal::campaign_digest(&scenario_list());
+    let digest = journal::campaign_digest(&platform_list());
 
     for (case, subset) in [vec![0usize, 2, 5], vec![3], (0..6).collect::<Vec<_>>()]
         .into_iter()

@@ -4,41 +4,18 @@
 //! customized from an IP portfolio, conditions "capacitive, resistive,
 //! inductive, etc." automotive sensors (§1, §3). These behavioural models
 //! let the examples show the platform conditioning something other than the
-//! gyro: a capacitive pressure bridge, a resistive (Wheatstone) temperature
-//! bridge and an inductive position half-bridge.
+//! gyro: a capacitive pressure bridge and an inductive position
+//! half-bridge (the resistive family is the IAT thermistor in
+//! [`crate::pressure`]).
 //!
-//! All models share the [`AnalogSensor`] trait: given a physical stimulus
-//! and an excitation voltage, produce a differential output voltage with
-//! noise and temperature effects.
+//! Both models implement the one sensor contract, [`SensorFrontEnd`]:
+//! given a physical stimulus and an excitation voltage, produce a
+//! differential output voltage with noise and temperature effects.
 
 use crate::frontend::{Conditioning, Excitation, PlausibilityBands, SensorFrontEnd};
 use ascp_sim::noise::WhiteNoise;
 use ascp_sim::snapshot::{fnv1a64, SnapshotError, StateReader, StateWriter};
 use ascp_sim::units::{Celsius, Volts};
-
-/// A sensor producing a differential voltage from excitation.
-///
-/// Object-safe so a platform channel can hold `Box<dyn AnalogSensor>`.
-pub trait AnalogSensor {
-    /// Updates the physical stimulus (unit depends on the sensor:
-    /// kPa, °C, mm, ...).
-    fn set_stimulus(&mut self, value: f64);
-
-    /// Current stimulus.
-    fn stimulus(&self) -> f64;
-
-    /// Sets the ambient temperature affecting the transducer.
-    fn set_temperature(&mut self, t: Celsius);
-
-    /// Produces one output sample given the excitation voltage.
-    fn sample(&mut self, excitation: Volts) -> Volts;
-
-    /// Full-scale stimulus range `(min, max)`.
-    fn range(&self) -> (f64, f64);
-
-    /// Human-readable sensor kind (for platform reports).
-    fn kind(&self) -> &'static str;
-}
 
 /// Capacitive pressure sensor in a half-bridge with a fixed reference
 /// capacitor: output ratio `(C_s − C_r) / (C_s + C_r)` times excitation.
@@ -77,43 +54,13 @@ impl CapacitivePressureSensor {
     }
 }
 
-impl AnalogSensor for CapacitivePressureSensor {
-    fn set_stimulus(&mut self, value: f64) {
-        self.pressure_kpa = value.clamp(0.0, self.full_scale_kpa);
-    }
-
-    fn stimulus(&self) -> f64 {
-        self.pressure_kpa
-    }
-
-    fn set_temperature(&mut self, t: Celsius) {
-        self.temperature = t;
-    }
-
-    fn sample(&mut self, excitation: Volts) -> Volts {
-        let dcap = self.sensitivity * self.pressure_kpa / self.full_scale_kpa;
-        // Half-bridge ratio for C_s = C0(1+d): d/(2+d).
-        let ratio = dcap / (2.0 + dcap);
-        let drift = self.temp_coeff * (self.temperature.0 - 25.0);
-        Volts(excitation.0 * (ratio + drift) + self.noise.sample())
-    }
-
-    fn range(&self) -> (f64, f64) {
-        (0.0, self.full_scale_kpa)
-    }
-
-    fn kind(&self) -> &'static str {
-        "capacitive-pressure"
-    }
-}
-
 /// Promotion onto the platform's generic front-end contract: DC
 /// excitation from the shared bandgap, an exact half-bridge inversion
 /// table, and wire-fault bands tuned to the bridge's small output span
 /// (the short check is disabled — a dead bridge and 0 kPa both read 0 V).
 impl SensorFrontEnd for CapacitivePressureSensor {
     fn kind(&self) -> &'static str {
-        AnalogSensor::kind(self)
+        "capacitive-pressure"
     }
 
     fn unit(&self) -> &'static str {
@@ -121,7 +68,7 @@ impl SensorFrontEnd for CapacitivePressureSensor {
     }
 
     fn range(&self) -> (f64, f64) {
-        AnalogSensor::range(self)
+        (0.0, self.full_scale_kpa)
     }
 
     fn excitation(&self) -> Excitation {
@@ -150,19 +97,23 @@ impl SensorFrontEnd for CapacitivePressureSensor {
     }
 
     fn set_stimulus(&mut self, value: f64) {
-        AnalogSensor::set_stimulus(self, value);
+        self.pressure_kpa = value.clamp(0.0, self.full_scale_kpa);
     }
 
     fn stimulus(&self) -> f64 {
-        AnalogSensor::stimulus(self)
+        self.pressure_kpa
     }
 
     fn set_temperature(&mut self, t: Celsius) {
-        AnalogSensor::set_temperature(self, t);
+        self.temperature = t;
     }
 
     fn sense(&mut self, excitation: Volts, _dt: f64) -> Volts {
-        self.sample(excitation)
+        let dcap = self.sensitivity * self.pressure_kpa / self.full_scale_kpa;
+        // Half-bridge ratio for C_s = C0(1+d): d/(2+d).
+        let ratio = dcap / (2.0 + dcap);
+        let drift = self.temp_coeff * (self.temperature.0 - 25.0);
+        Volts(excitation.0 * (ratio + drift) + self.noise.sample())
     }
 
     fn save_state(&self, w: &mut StateWriter) {
@@ -184,65 +135,6 @@ impl SensorFrontEnd for CapacitivePressureSensor {
         w.put_f64(self.sensitivity);
         w.put_f64(self.temp_coeff);
         fnv1a64(w.bytes())
-    }
-}
-
-/// Platinum-RTD style resistive bridge (Wheatstone, one active arm):
-/// output ≈ excitation · α·ΔT / (4 + 2·α·ΔT).
-#[derive(Debug, Clone)]
-pub struct ResistiveTempBridge {
-    measured: Celsius,
-    alpha: f64,
-    noise: WhiteNoise,
-    /// Self-heating offset (K) proportional to excitation².
-    self_heating: f64,
-}
-
-impl ResistiveTempBridge {
-    /// Creates a bridge with temperature coefficient `alpha` (1/K,
-    /// 0.00385 for Pt).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha` is not positive.
-    #[must_use]
-    pub fn new(alpha: f64, seed: u64) -> Self {
-        assert!(alpha > 0.0, "alpha must be positive");
-        Self {
-            measured: Celsius(25.0),
-            alpha,
-            noise: WhiteNoise::new(5.0e-6, seed),
-            self_heating: 0.05,
-        }
-    }
-}
-
-impl AnalogSensor for ResistiveTempBridge {
-    fn set_stimulus(&mut self, value: f64) {
-        self.measured = Celsius(value);
-    }
-
-    fn stimulus(&self) -> f64 {
-        self.measured.0
-    }
-
-    fn set_temperature(&mut self, t: Celsius) {
-        // The bridge *is* the thermometer; ambient equals stimulus here.
-        self.measured = t;
-    }
-
-    fn sample(&mut self, excitation: Volts) -> Volts {
-        let dt = self.measured.0 - 0.0 + self.self_heating * excitation.0 * excitation.0;
-        let x = self.alpha * dt;
-        Volts(excitation.0 * x / (4.0 + 2.0 * x) + self.noise.sample())
-    }
-
-    fn range(&self) -> (f64, f64) {
-        (-40.0, 150.0)
-    }
-
-    fn kind(&self) -> &'static str {
-        "resistive-temperature"
     }
 }
 
@@ -276,35 +168,6 @@ impl InductivePositionSensor {
     }
 }
 
-impl AnalogSensor for InductivePositionSensor {
-    fn set_stimulus(&mut self, value: f64) {
-        self.position_mm = value.clamp(-self.stroke_mm, self.stroke_mm);
-    }
-
-    fn stimulus(&self) -> f64 {
-        self.position_mm
-    }
-
-    fn set_temperature(&mut self, _t: Celsius) {
-        // LVDT ratiometric output is first-order temperature free.
-    }
-
-    fn sample(&mut self, excitation: Volts) -> Volts {
-        let u = self.position_mm / self.stroke_mm;
-        // 2 % cubic compression near the stroke ends.
-        let ratio = self.sensitivity * self.position_mm * (1.0 - 0.02 * u * u);
-        Volts(excitation.0 * ratio + self.noise.sample())
-    }
-
-    fn range(&self) -> (f64, f64) {
-        (-self.stroke_mm, self.stroke_mm)
-    }
-
-    fn kind(&self) -> &'static str {
-        "inductive-position"
-    }
-}
-
 /// Promotion onto the generic front-end contract: the LVDT keeps the
 /// gyro-style carrier excitation and coherent demodulation. It has no
 /// pilot imbalance and a true null at mid-stroke, so only the open-harness
@@ -312,7 +175,7 @@ impl AnalogSensor for InductivePositionSensor {
 /// shows exactly that contrast against the pilot-carrying accelerometer.
 impl SensorFrontEnd for InductivePositionSensor {
     fn kind(&self) -> &'static str {
-        AnalogSensor::kind(self)
+        "inductive-position"
     }
 
     fn unit(&self) -> &'static str {
@@ -320,7 +183,7 @@ impl SensorFrontEnd for InductivePositionSensor {
     }
 
     fn range(&self) -> (f64, f64) {
-        AnalogSensor::range(self)
+        (-self.stroke_mm, self.stroke_mm)
     }
 
     fn excitation(&self) -> Excitation {
@@ -346,19 +209,22 @@ impl SensorFrontEnd for InductivePositionSensor {
     }
 
     fn set_stimulus(&mut self, value: f64) {
-        AnalogSensor::set_stimulus(self, value);
+        self.position_mm = value.clamp(-self.stroke_mm, self.stroke_mm);
     }
 
     fn stimulus(&self) -> f64 {
-        AnalogSensor::stimulus(self)
+        self.position_mm
     }
 
-    fn set_temperature(&mut self, t: Celsius) {
-        AnalogSensor::set_temperature(self, t);
+    fn set_temperature(&mut self, _t: Celsius) {
+        // LVDT ratiometric output is first-order temperature free.
     }
 
     fn sense(&mut self, excitation: Volts, _dt: f64) -> Volts {
-        self.sample(excitation)
+        let u = self.position_mm / self.stroke_mm;
+        // 2 % cubic compression near the stroke ends.
+        let ratio = self.sensitivity * self.position_mm * (1.0 - 0.02 * u * u);
+        Volts(excitation.0 * ratio + self.noise.sample())
     }
 
     fn save_state(&self, w: &mut StateWriter) {
@@ -382,10 +248,17 @@ impl SensorFrontEnd for InductivePositionSensor {
 
 #[cfg(test)]
 mod tests {
-    use super::{
-        AnalogSensor, CapacitivePressureSensor, InductivePositionSensor, ResistiveTempBridge,
-    };
+    use super::{CapacitivePressureSensor, InductivePositionSensor};
+    use crate::frontend::SensorFrontEnd;
     use ascp_sim::units::{Celsius, Volts};
+
+    /// Mean of `n` sensed samples at a fixed excitation (averages noise).
+    fn mean_sense(s: &mut dyn SensorFrontEnd, excitation: f64, n: usize) -> f64 {
+        (0..n)
+            .map(|_| s.sense(Volts(excitation), 1.0e-5).0)
+            .sum::<f64>()
+            / n as f64
+    }
 
     #[test]
     fn pressure_output_monotonic() {
@@ -393,8 +266,7 @@ mod tests {
         let mut last = f64::NEG_INFINITY;
         for p in [0.0, 100.0, 200.0, 300.0, 400.0] {
             s.set_stimulus(p);
-            // Average out noise.
-            let v: f64 = (0..200).map(|_| s.sample(Volts(5.0)).0).sum::<f64>() / 200.0;
+            let v = mean_sense(&mut s, 5.0, 200);
             assert!(v > last, "not monotonic at {p} kPa");
             last = v;
         }
@@ -413,58 +285,30 @@ mod tests {
     fn pressure_temperature_drift_visible() {
         let mut s = CapacitivePressureSensor::new(400.0, 0.2, 1);
         s.set_stimulus(200.0);
-        let v25: f64 = (0..500).map(|_| s.sample(Volts(5.0)).0).sum::<f64>() / 500.0;
+        let v25 = mean_sense(&mut s, 5.0, 500);
         s.set_temperature(Celsius(125.0));
-        let v125: f64 = (0..500).map(|_| s.sample(Volts(5.0)).0).sum::<f64>() / 500.0;
+        let v125 = mean_sense(&mut s, 5.0, 500);
         assert!((v125 - v25) > 0.01, "no drift: {v25} vs {v125}");
-    }
-
-    #[test]
-    fn temp_bridge_tracks_temperature() {
-        let mut s = ResistiveTempBridge::new(0.00385, 2);
-        s.set_stimulus(0.0);
-        let v0: f64 = (0..500).map(|_| s.sample(Volts(2.0)).0).sum::<f64>() / 500.0;
-        s.set_stimulus(100.0);
-        let v100: f64 = (0..500).map(|_| s.sample(Volts(2.0)).0).sum::<f64>() / 500.0;
-        assert!(v100 > v0 + 0.1, "bridge insensitive: {v0} vs {v100}");
-    }
-
-    #[test]
-    fn temp_bridge_self_heating_with_excitation() {
-        let mut s = ResistiveTempBridge::new(0.00385, 2);
-        s.set_stimulus(25.0);
-        let lo: f64 = (0..500).map(|_| s.sample(Volts(1.0)).0).sum::<f64>() / 500.0;
-        let hi: f64 = (0..500).map(|_| s.sample(Volts(5.0)).0).sum::<f64>() / 500.0;
-        // Normalize by excitation: the ratio should differ by self-heating.
-        assert!(hi / 5.0 > lo / 1.0, "no self-heating visible");
     }
 
     #[test]
     fn position_sign_follows_core() {
         let mut s = InductivePositionSensor::new(5.0, 0.05, 3);
         s.set_stimulus(2.0);
-        let vp: f64 = (0..200).map(|_| s.sample(Volts(3.0)).0).sum::<f64>() / 200.0;
+        let vp = mean_sense(&mut s, 3.0, 200);
         s.set_stimulus(-2.0);
-        let vn: f64 = (0..200).map(|_| s.sample(Volts(3.0)).0).sum::<f64>() / 200.0;
+        let vn = mean_sense(&mut s, 3.0, 200);
         assert!(vp > 0.0 && vn < 0.0, "signs wrong: {vp} {vn}");
         assert!((vp + vn).abs() < 0.01, "not symmetric: {vp} {vn}");
     }
 
     #[test]
     fn trait_objects_work() {
-        let sensors: Vec<Box<dyn AnalogSensor>> = vec![
+        let sensors: Vec<Box<dyn SensorFrontEnd>> = vec![
             Box::new(CapacitivePressureSensor::new(400.0, 0.2, 1)),
-            Box::new(ResistiveTempBridge::new(0.00385, 2)),
             Box::new(InductivePositionSensor::new(5.0, 0.05, 3)),
         ];
         let kinds: Vec<&str> = sensors.iter().map(|s| s.kind()).collect();
-        assert_eq!(
-            kinds,
-            [
-                "capacitive-pressure",
-                "resistive-temperature",
-                "inductive-position"
-            ]
-        );
+        assert_eq!(kinds, ["capacitive-pressure", "inductive-position"]);
     }
 }

@@ -30,8 +30,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo build --release =="
 cargo build --release --workspace
 
-echo "== cargo test =="
-cargo test -q --workspace
+echo "== cargo test (with the property tests, as CI runs them) =="
+cargo test -q --workspace --features proptest
 
 echo "== fault campaign (smoke: detection + coverage vs committed baseline) =="
 # Emits the Chrome trace, flight-recorder captures and the coverage matrix
@@ -50,6 +50,30 @@ echo "== sensor datasheet (smoke: three sensor families + wire-fault coverage) =
 # a cell of the committed COVERAGE_sensor_datasheet.csv baseline goes dark.
 cargo run --release -q -p ascp-bench --bin sensor_datasheet -- --smoke --threads 4 \
     --check-coverage COVERAGE_sensor_datasheet.csv
+SD_REFERENCE=target/experiments/sensor_datasheet.reference.csv
+cp target/experiments/sensor_datasheet.csv "$SD_REFERENCE"
+
+echo "== sensor datasheet under chaos + truncated-journal resume (byte-identical CSV) =="
+# Gyro and channel scenarios share the runner's supervision. Seeded
+# worker panics/stalls must be invisible after the retry; a journal cut
+# mid-record (what a kill -9 leaves behind — the ~0.5 s smoke is too
+# short to kill reliably) must resume some scenarios and reproduce the
+# undisturbed CSV.
+target/release/sensor_datasheet --smoke --threads 4 --chaos >/dev/null
+cmp target/experiments/sensor_datasheet.csv "$SD_REFERENCE" \
+    || { echo "sensor_datasheet chaos CSV differs from the undisturbed run" >&2; exit 1; }
+SD_JOURNAL=target/experiments/sensor_datasheet.journal
+rm -f "$SD_JOURNAL"
+target/release/sensor_datasheet --smoke --threads 4 --journal "$SD_JOURNAL" >/dev/null
+head -c "$(($(wc -c <"$SD_JOURNAL") / 2))" "$SD_JOURNAL" >"$SD_JOURNAL.cut"
+mv "$SD_JOURNAL.cut" "$SD_JOURNAL"
+target/release/sensor_datasheet --smoke --threads 4 --journal "$SD_JOURNAL" \
+    >target/experiments/sensor_datasheet.resume.log
+grep -Eq "journal: resumed [1-9][0-9]* completed" target/experiments/sensor_datasheet.resume.log \
+    || { echo "sensor_datasheet resume loaded no scenarios from the cut journal" >&2; exit 1; }
+cmp target/experiments/sensor_datasheet.csv "$SD_REFERENCE" \
+    || { echo "resumed sensor_datasheet CSV differs from the undisturbed run" >&2; exit 1; }
+rm -f "$SD_JOURNAL"
 
 echo "== chaos campaign (seeded worker panics + stalls; retry must make it invisible) =="
 # The supervision layer's chaos mode injects worker panics and stalls;
