@@ -14,7 +14,7 @@
 //! merge this bench's entries into `BENCH_platform_sim.json` at the repo
 //! root, preserving the other benches' entries.
 
-use ascp_bench::harness::{merge_into_baseline, Args, BenchStats};
+use ascp_bench::harness::{merge_into_baseline, repo_root_path, Args, BenchStats};
 use ascp_core::campaign::{CampaignOptions, CampaignRunner, Dispersion, ScenarioSpec, Step};
 use ascp_core::platform::PlatformConfig;
 
@@ -114,7 +114,7 @@ fn main() -> std::io::Result<()> {
     if args.short {
         println!("(short mode: baseline not rewritten)");
     } else {
-        merge_into_baseline(&stats)?;
+        merge_into_baseline(repo_root_path("BENCH_platform_sim.json"), &stats)?;
     }
     Ok(())
 }

@@ -12,7 +12,7 @@
 //! `BENCH_platform_sim.json` at the repo root, preserving the other
 //! benches' entries.
 
-use ascp_bench::harness::{merge_into_baseline, Args, BenchStats};
+use ascp_bench::harness::{merge_into_baseline, repo_root_path, Args, BenchStats};
 use ascp_core::campaign::{CampaignOptions, CampaignRunner, ScenarioSpec, Step};
 use ascp_core::platform::PlatformConfig;
 
@@ -127,7 +127,7 @@ fn main() -> std::io::Result<()> {
             overhead * 100.0,
             MAX_OVERHEAD * 100.0
         );
-        merge_into_baseline(&stats)?;
+        merge_into_baseline(repo_root_path("BENCH_platform_sim.json"), &stats)?;
     }
     Ok(())
 }

@@ -6,11 +6,12 @@
 //! `--check <path>` compares the run against a committed
 //! `BENCH_platform_sim.json` and exits non-zero if any benchmark's min
 //! ns/iter regressed by more than 50% (noise-tolerant perf guard). Full
-//! (non-`--short`) runs rewrite `BENCH_platform_sim.json` at the
-//! repository root; smoke runs only read it.
+//! (non-`--short`) runs merge this bench's entries into
+//! `BENCH_platform_sim.json` at the repository root, preserving the other
+//! benches' entries; smoke runs only read it.
 
 use ascp_bench::harness::{
-    bench, black_box, check_against, repo_root_path, write_bench_json, Args, BenchStats,
+    bench, black_box, check_against, merge_into_baseline, repo_root_path, Args, BenchStats,
 };
 use ascp_core::platform::{Platform, PlatformConfig, PlatformFleet};
 use ascp_core::system::{SystemModel, SystemModelConfig};
@@ -283,9 +284,9 @@ fn main() {
     all.push(step_uncached);
     all.push(block_replay);
 
-    // Perf guard first (against the committed baseline), then rewrite the
-    // trajectory file with this run. Short (smoke) runs never rewrite the
-    // baseline: their shrunken protocol is too noisy to commit, and the
+    // Perf guard first (against the committed baseline), then merge this
+    // run's entries into the trajectory file. Short (smoke) runs never
+    // touch the baseline: their shrunken protocol is too noisy to commit, and the
     // gate would otherwise dirty the checked-in file on every run.
     let args = Args::parse("platform_sim");
     let regressed = args.check.map(|path| {
@@ -293,8 +294,8 @@ fn main() {
             .unwrap_or_else(|e| panic!("cannot read baseline {}: {e}", path.display()))
     });
     if !args.short {
-        write_bench_json(repo_root_path("BENCH_platform_sim.json"), &all)
-            .expect("write bench trajectory");
+        merge_into_baseline(repo_root_path("BENCH_platform_sim.json"), &all)
+            .expect("merge bench trajectory");
     }
     if let Some(regressed) = regressed {
         assert!(

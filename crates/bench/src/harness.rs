@@ -516,39 +516,9 @@ pub fn bench<T>(name: &str, mut f: impl FnMut() -> T) -> BenchStats {
     stats
 }
 
-/// Serializes a bench run as the repo's bench-trajectory JSON:
-/// `{"<name>": {"min_ns_per_iter": …, "ns_per_iter": …, "per_second": …}}`,
-/// keys in run order. Committed at the repo root as
-/// `BENCH_platform_sim.json`, this is the baseline the CI perf-smoke step
-/// guards against.
-#[must_use]
-pub fn bench_json(stats: &[BenchStats]) -> String {
-    let mut out = String::from("{\n");
-    for (i, s) in stats.iter().enumerate() {
-        let sep = if i + 1 == stats.len() { "" } else { "," };
-        out.push_str(&format!(
-            "  \"{}\": {{\"min_ns_per_iter\": {:.1}, \"ns_per_iter\": {:.1}, \"per_second\": {:.0}}}{sep}\n",
-            s.name, s.min_ns_per_iter, s.ns_per_iter, s.per_second()
-        ));
-    }
-    out.push_str("}\n");
-    out
-}
-
-/// Writes the bench-trajectory JSON to `path` and reports it on stdout.
-///
-/// # Errors
-///
-/// Returns the underlying I/O error if the file cannot be written.
-pub fn write_bench_json(path: impl AsRef<Path>, stats: &[BenchStats]) -> io::Result<()> {
-    std::fs::write(path.as_ref(), bench_json(stats))?;
-    println!("bench trajectory -> {}", path.as_ref().display());
-    Ok(())
-}
-
 /// Extracts `"name": {"min_ns_per_iter": X` pairs from a bench-trajectory
-/// JSON body (the fixed subset [`bench_json`] emits — no general JSON
-/// parser needed offline).
+/// JSON body (the fixed subset [`merge_into_baseline`] writes — no general
+/// JSON parser needed offline).
 #[must_use]
 pub fn parse_bench_json(body: &str) -> Vec<(String, f64)> {
     let mut out = Vec::new();
@@ -576,18 +546,21 @@ pub fn parse_bench_json(body: &str) -> Vec<(String, f64)> {
     out
 }
 
-/// Splices this run's entries into the committed bench trajectory at the
-/// repo root (`BENCH_platform_sim.json`), replacing lines whose benchmark
-/// name matches one of `stats` **exactly** and keeping every other
-/// benchmark's line verbatim — so independent bench bins can each merge
-/// their own entries without clobbering each other's.
+/// Splices this run's entries into the bench trajectory at `path` (the
+/// committed ledger is `BENCH_platform_sim.json` at the repo root),
+/// replacing lines whose benchmark name matches one of `stats` **exactly**
+/// and keeping every other benchmark's line verbatim — so independent
+/// bench bins can each merge their own entries without clobbering each
+/// other's. The file format is
+/// `{"<name>": {"min_ns_per_iter": …, "ns_per_iter": …, "per_second": …}}`,
+/// kept entries first, then this run's in run order.
 ///
 /// # Errors
 ///
 /// Returns the underlying I/O error if the file cannot be written.
-pub fn merge_into_baseline(stats: &[BenchStats]) -> io::Result<()> {
-    let path = repo_root_path("BENCH_platform_sim.json");
-    let body = std::fs::read_to_string(&path).unwrap_or_else(|_| "{\n}\n".into());
+pub fn merge_into_baseline(path: impl AsRef<Path>, stats: &[BenchStats]) -> io::Result<()> {
+    let path = path.as_ref();
+    let body = std::fs::read_to_string(path).unwrap_or_else(|_| "{\n}\n".into());
     let replaced: Vec<&str> = stats.iter().map(|s| s.name.as_str()).collect();
     let mut lines: Vec<String> = body
         .lines()
@@ -617,7 +590,7 @@ pub fn merge_into_baseline(stats: &[BenchStats]) -> io::Result<()> {
         out.push_str(&format!("  {l}{sep}\n"));
     }
     out.push_str("}\n");
-    std::fs::write(&path, out)?;
+    std::fs::write(path, out)?;
     println!("bench trajectory -> {}", path.display());
     Ok(())
 }
@@ -785,28 +758,35 @@ mod tests {
         assert!(s.min_ns_per_iter <= s.ns_per_iter);
     }
 
+    fn stat(name: &str, min_ns_per_iter: f64) -> BenchStats {
+        BenchStats {
+            name: name.into(),
+            iters_per_sample: 1,
+            ns_per_iter: min_ns_per_iter,
+            min_ns_per_iter,
+        }
+    }
+
     #[test]
-    fn bench_json_round_trips_min_ns() {
-        let stats = vec![
-            BenchStats {
-                name: "platform/dsp_tick_no_cpu".into(),
-                iters_per_sample: 1,
-                ns_per_iter: 1000.0,
-                min_ns_per_iter: 950.5,
-            },
-            BenchStats {
-                name: "mems/gyro_step".into(),
-                iters_per_sample: 1,
-                ns_per_iter: 60.0,
-                min_ns_per_iter: 55.0,
-            },
+    fn merge_keeps_other_benches_and_replaces_same_names() {
+        let path = std::env::temp_dir().join(format!("ascp_merge_{}.json", std::process::id()));
+        std::fs::remove_file(&path).ok();
+        // One bench writes its entries, a second bench merges its own.
+        let first = [
+            stat("platform/dsp_tick_no_cpu", 950.5),
+            stat("campaign/a", 10.0),
         ];
-        let body = bench_json(&stats);
-        let parsed = parse_bench_json(&body);
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed[0].0, "platform/dsp_tick_no_cpu");
-        assert!((parsed[0].1 - 950.5).abs() < 1e-9);
-        assert!((parsed[1].1 - 55.0).abs() < 1e-9);
+        merge_into_baseline(&path, &first).expect("merge");
+        merge_into_baseline(&path, &[stat("campaign/a", 12.0), stat("mems/gyro", 55.0)])
+            .expect("merge");
+        let body = std::fs::read_to_string(&path).expect("read back");
+        let want = [
+            ("platform/dsp_tick_no_cpu".to_owned(), 950.5),
+            ("campaign/a".to_owned(), 12.0),
+            ("mems/gyro".to_owned(), 55.0),
+        ];
+        assert_eq!(parse_bench_json(&body), want, "{body}");
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -848,40 +828,12 @@ mod tests {
         let dir = std::env::temp_dir().join("ascp_bench_check_test");
         std::fs::create_dir_all(&dir).expect("tmp dir");
         let path = dir.join("baseline.json");
-        let baseline = vec![
-            BenchStats {
-                name: "a".into(),
-                iters_per_sample: 1,
-                ns_per_iter: 100.0,
-                min_ns_per_iter: 100.0,
-            },
-            BenchStats {
-                name: "b".into(),
-                iters_per_sample: 1,
-                ns_per_iter: 100.0,
-                min_ns_per_iter: 100.0,
-            },
-        ];
-        std::fs::write(&path, bench_json(&baseline)).expect("write baseline");
-        let now = vec![
-            BenchStats {
-                name: "a".into(),
-                iters_per_sample: 1,
-                ns_per_iter: 120.0,
-                min_ns_per_iter: 120.0, // +20%: within tolerance
-            },
-            BenchStats {
-                name: "b".into(),
-                iters_per_sample: 1,
-                ns_per_iter: 200.0,
-                min_ns_per_iter: 200.0, // +100%: regression
-            },
-            BenchStats {
-                name: "c".into(), // no baseline: skipped, not a failure
-                iters_per_sample: 1,
-                ns_per_iter: 1.0,
-                min_ns_per_iter: 1.0,
-            },
+        std::fs::remove_file(&path).ok();
+        merge_into_baseline(&path, &[stat("a", 100.0), stat("b", 100.0)]).expect("write baseline");
+        let now = [
+            stat("a", 120.0), // +20%: within tolerance
+            stat("b", 200.0), // +100%: regression
+            stat("c", 1.0),   // no baseline: skipped, not a failure
         ];
         let regressed = check_against(&path, &now, 0.5).expect("check runs");
         assert_eq!(regressed, vec!["b".to_owned()]);

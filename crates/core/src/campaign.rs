@@ -43,9 +43,11 @@
 //! whose steps use only the lockstep-safe vocabulary (`Run`, `SetRate`,
 //! `SetTemperature`, `MeasureMeanRate`) additionally execute *batched*
 //! on a [`PlatformFleet`] — structure-of-arrays, up to 16 lanes per
-//! fleet — with **byte-identical** results to scalar execution (fleet
-//! batching is a wall-clock optimisation, never an arithmetic change;
-//! disable it with `CampaignOptions::builder().fleet(false)`).
+//! fleet — through the same step code as scalar execution, with
+//! **byte-identical** results (fleet batching is a wall-clock
+//! optimisation, never an arithmetic change). Batching composes with
+//! warm-start and chaos; span tracing and
+//! `CampaignOptions::builder().fleet(false)` run every lane scalar.
 //!
 //! # Supervision
 //!
@@ -128,7 +130,7 @@ use crate::characterize::{
 use crate::checkpoint;
 use crate::frontend::{run_channel_scenario, ChannelScenario};
 use crate::journal::{self, JournalError, JournalWriter};
-use crate::platform::{ConfigError, Platform, PlatformConfig, PlatformFleet};
+use crate::platform::{ConfigError, Lockstep, Platform, PlatformConfig, PlatformFleet};
 use crate::supervisor::SupervisorState;
 use ascp_mcu8051::periph::Bus16Device;
 use ascp_sim::campaign::{available_parallelism, panic_message, try_parallel_map, MapError};
@@ -301,6 +303,19 @@ impl Step {
             Self::CaptureZeroRate { .. } => "CaptureZeroRate",
             Self::FaultResponse { .. } => "FaultResponse",
         }
+    }
+
+    /// The lockstep vocabulary: steps that only advance time, set the
+    /// stimulus or average the rate output, so [`apply_lockstep`] runs them
+    /// unchanged on one [`Platform`] or on a [`PlatformFleet`].
+    fn is_lockstep(&self) -> bool {
+        matches!(
+            self,
+            Self::Run { .. }
+                | Self::SetRate { .. }
+                | Self::SetTemperature { .. }
+                | Self::MeasureMeanRate { .. }
+        )
     }
 }
 
@@ -639,7 +654,9 @@ pub enum ChaosInjection {
 /// 1 stall, else none), so a chaos campaign is reproducible at any thread
 /// count. Injections apply to the first `persist_attempts` attempts only;
 /// the retry that follows runs clean with the scenario seed unchanged, so
-/// every healthy metric is byte-identical to an undisturbed run.
+/// every healthy metric is byte-identical to an undisturbed run. A
+/// batched fleet unit is disrupted, and retried, whole when the plan picks
+/// any of its lanes.
 #[derive(Debug, Clone)]
 pub struct ChaosPlan {
     /// Seed the per-scenario injections derive from.
@@ -1133,7 +1150,8 @@ impl CampaignOptionsBuilder {
 
     /// Enables (or disables) span tracing (campaign → scenario → step
     /// spans in the report's [`TraceLog`]). Never changes simulation
-    /// arithmetic.
+    /// arithmetic; Monte-Carlo lanes run scalar, since a span recorder
+    /// attaches to one [`Platform`].
     #[must_use]
     pub fn tracing(mut self, enabled: bool) -> Self {
         self.options.tracing = enabled;
@@ -1373,14 +1391,12 @@ impl CampaignRunner {
     /// fleet-eligible Monte-Carlo sibling lanes become
     /// [`WorkUnit::Fleet`] groups of at most [`FLEET_GROUP_MAX`] lanes;
     /// everything else (channel scenarios included) runs scalar. Grouping
-    /// is disabled wholesale when a runner feature the fleet cannot
-    /// express is on (warm-start cache, span tracing, chaos injection) —
-    /// those campaigns run every lane scalar, with byte-identical results.
+    /// is disabled wholesale by `fleet(false)` and by span tracing (a span
+    /// recorder attaches to one [`Platform`], which a fleet lane cannot
+    /// carry) — those campaigns run every lane scalar, with byte-identical
+    /// results.
     fn plan_units(&self, work: Vec<(usize, Scenario)>, parents: &[Option<usize>]) -> Vec<WorkUnit> {
-        let fleet_allowed = self.options.fleet
-            && !self.options.warm_start
-            && !self.options.tracing
-            && self.options.chaos.is_none();
+        let fleet_allowed = self.options.fleet && !self.options.tracing;
         let mut units: Vec<WorkUnit> = Vec::new();
         for (index, scenario) in work {
             let parent = parents.get(index).copied().flatten();
@@ -1500,22 +1516,26 @@ impl CampaignRunner {
                     std::thread::sleep(Duration::from_millis(self.options.backoff_ms * factor));
                 }
                 ctx.arm();
-                let caught = catch_unwind(AssertUnwindSafe(|| match &unit {
-                    WorkUnit::Single(index, scenario) => run_attempt(
-                        *index,
-                        attempt,
-                        scenario,
-                        cache.as_ref(),
-                        &hits,
-                        collector.as_ref(),
-                        ctx,
-                        self.options.chaos.as_ref(),
-                    )
-                    .map(|(out, hit)| {
-                        warm_hit = hit;
-                        vec![out]
-                    }),
-                    WorkUnit::Fleet(lanes) => run_fleet_attempt(lanes, ctx),
+                let caught = catch_unwind(AssertUnwindSafe(|| {
+                    if let Some(plan) = &self.options.chaos {
+                        inject_chaos(plan, &meta[slot], attempt, ctx)?;
+                    }
+                    match &unit {
+                        WorkUnit::Single(index, scenario) => run_attempt(
+                            *index,
+                            attempt,
+                            scenario,
+                            cache.as_ref(),
+                            &hits,
+                            collector.as_ref(),
+                            ctx,
+                        )
+                        .map(|(out, hit)| {
+                            warm_hit = hit;
+                            vec![out]
+                        }),
+                        WorkUnit::Fleet(lanes) => run_fleet_attempt(lanes, ctx),
+                    }
                 }));
                 ctx.disarm();
                 let attempt_result = caught.unwrap_or_else(|payload| {
@@ -1546,8 +1566,7 @@ impl CampaignRunner {
                 }
             };
             // Wall time amortized over the unit: fleet lanes ran as one
-            // lockstep batch. Fleets are only planned with the warm cache
-            // off, so `warm` is per-scenario whenever it is reported.
+            // lockstep batch.
             let lane_ms = t0.elapsed().as_secs_f64() * 1.0e3 / outs.len().max(1) as f64;
             let warm = cache.as_ref().map(|_| warm_hit);
             for out in &outs {
@@ -1650,15 +1669,7 @@ fn fleet_eligible(spec: &ScenarioSpec) -> bool {
         && !spec.config.cpu_enabled
         && spec.config.faults.is_empty()
         && spec.faults.is_empty()
-        && spec.steps.iter().all(|s| {
-            matches!(
-                s,
-                Step::Run { .. }
-                    | Step::SetRate { .. }
-                    | Step::SetTemperature { .. }
-                    | Step::MeasureMeanRate { .. }
-            )
-        })
+        && spec.steps.iter().all(Step::is_lockstep)
 }
 
 /// Uniform draw in [-1, 1) for one dispersion channel of one lane,
@@ -1717,30 +1728,12 @@ fn expand_monte_carlo<S: Into<Scenario>>(scenarios: Vec<S>) -> (Vec<Scenario>, V
     (expanded, parents)
 }
 
-/// Advances a fleet by `seconds` — identical tick rounding to [`run_for`]
-/// — in [`RUN_BLOCK_TICKS`] chunks so a pending watchdog cancellation is
-/// observed between chunks.
-fn fleet_run_for(
-    fleet: &mut PlatformFleet,
-    dsp_rate: f64,
-    seconds: f64,
-    ctx: AttemptCtx<'_>,
-) -> Result<(), Cancelled> {
-    let mut ticks = (seconds * dsp_rate).round() as u64;
-    while ticks > 0 {
-        ctx.check()?;
-        let block = ticks.min(RUN_BLOCK_TICKS);
-        fleet.step_block(block);
-        ticks -= block;
-    }
-    Ok(())
-}
-
 /// Runs one attempt of a group of Monte-Carlo sibling lanes batched on a
-/// [`PlatformFleet`]: the SoA transcription of [`run_platform_attempt`]
-/// restricted to the fleet-safe step vocabulary ([`fleet_eligible`]).
-/// Outcomes are byte-identical to running each lane through the scalar
-/// path — the fleet's determinism contract. If the built platforms turn out
+/// [`PlatformFleet`]. The lanes' shared steps are all in the lockstep
+/// vocabulary ([`fleet_eligible`]) and run through [`apply_lockstep`], the
+/// step code of the scalar path, so outcomes are byte-identical to running
+/// each lane alone. Fleet lanes skip the warm-start cache: their seeds are
+/// distinct, so a lane could never hit it. If the built platforms turn out
 /// fleet-ineligible after all (e.g. an armed recorder), the lanes fall
 /// back to scalar execution inside this same attempt, with identical
 /// results.
@@ -1774,56 +1767,17 @@ fn run_fleet_attempt(
                 .collect();
         }
     };
-    // Monte-Carlo siblings share their parent's steps, duration, and DSP
-    // rate; only seeds and dispersed physical parameters differ.
+    // Monte-Carlo siblings share their parent's steps and duration; only
+    // seeds and dispersed physical parameters differ.
     let spec0 = &lanes[0].1;
-    let dsp_rate = spec0.config.dsp_rate.0;
-    let timed_out = |_: Cancelled| ctx.timed_out();
-    let mut acc = vec![0.0; lanes.len()];
-    for step in &spec0.steps {
-        match step {
-            Step::Run { seconds } => {
-                fleet_run_for(&mut fleet, dsp_rate, *seconds, ctx).map_err(timed_out)?;
-            }
-            Step::SetRate { dps } => fleet.for_each_platform(|p| p.set_rate(DegPerSec(*dps))),
-            Step::SetTemperature { celsius } => {
-                fleet.for_each_platform(|p| p.set_temperature(Celsius(*celsius)));
-            }
-            Step::MeasureMeanRate { label, window_s } => {
-                // Mirrors [`mean_rate`] tick-for-tick, accumulating every
-                // lane from the same lockstep sweep.
-                let ticks = ((window_s * dsp_rate).round() as u64).max(1);
-                acc.iter_mut().for_each(|a| *a = 0.0);
-                for i in 0..ticks {
-                    if i % HEARTBEAT_TICKS == 0 {
-                        ctx.check().map_err(timed_out)?;
-                    }
-                    fleet.step();
-                    for (lane, a) in acc.iter_mut().enumerate() {
-                        *a += fleet.rate_output_dps(lane);
-                    }
-                }
-                for (lane, out) in outs.iter_mut().enumerate() {
-                    out.metrics.push((label.clone(), acc[lane] / ticks as f64));
-                }
-            }
-            other => unreachable!("non-fleet step `{}` grouped onto a fleet", other.label()),
-        }
-    }
-    if fleet.time() < spec0.duration_s {
-        let remaining = spec0.duration_s - fleet.time();
-        fleet_run_for(&mut fleet, dsp_rate, remaining, ctx).map_err(timed_out)?;
-    }
-    let mut members = fleet.into_platforms();
-    for (out, p) in outs.iter_mut().zip(&mut members) {
-        out.transitions.extend(scrape_transitions(p));
-        out.capture = p.take_capture();
-        if p.recorder().is_some() {
-            out.metrics.push((
-                "recorder_triggered".into(),
-                f64::from(u8::from(out.capture.is_some())),
-            ));
-        }
+    spec0
+        .steps
+        .iter()
+        .try_for_each(|step| apply_lockstep(&mut fleet, step, &mut outs, ctx))
+        .and_then(|()| run_to_duration(&mut fleet, spec0.duration_s, ctx))
+        .map_err(|Cancelled| ctx.timed_out())?;
+    for (out, p) in outs.iter_mut().zip(&mut fleet.into_platforms()) {
+        record_observability(out, p);
     }
     Ok(outs)
 }
@@ -2142,26 +2096,19 @@ struct Scratch {
     sensitivity: Option<f64>,
 }
 
-/// Runs one attempt of one scenario of either kind.
-///
-/// `Err` means the attempt was cancelled by the watchdog (a panic
-/// propagates to the caller's `catch_unwind` instead); `Ok` carries the
-/// outcome plus whether the warm cache hit. Chaos injections fire before
-/// the platform or channel is built, so an injected attempt never
-/// perturbs simulation state.
-#[allow(clippy::too_many_arguments)]
-fn run_attempt(
-    index: usize,
+/// Fires the chaos plan's injection for one attempt of a work unit, before
+/// any platform or channel is built, so an injected attempt never perturbs
+/// simulation state. The first of the unit's `lanes` the plan picks for
+/// this attempt disrupts the whole unit: every scenario the plan picks is
+/// still disrupted, and a fleet retries as one.
+fn inject_chaos(
+    plan: &ChaosPlan,
+    lanes: &[(usize, String, u64)],
     attempt: u32,
-    scenario: &Scenario,
-    cache: Option<&WarmCache>,
-    hits: &AtomicUsize,
-    collector: Option<&TraceCollector>,
     ctx: AttemptCtx<'_>,
-    chaos: Option<&ChaosPlan>,
-) -> Result<(ScenarioOutcome, bool), ScenarioError> {
-    if let Some(plan) = chaos {
-        match plan.decide(index, attempt) {
+) -> Result<(), ScenarioError> {
+    for (index, ..) in lanes {
+        match plan.decide(*index, attempt) {
             ChaosInjection::Panic => {
                 panic!("chaos: injected worker panic (scenario {index}, attempt {attempt})")
             }
@@ -2181,6 +2128,23 @@ fn run_attempt(
             ChaosInjection::None => {}
         }
     }
+    Ok(())
+}
+
+/// Runs one attempt of one scenario of either kind.
+///
+/// `Err` means the attempt was cancelled by the watchdog (a panic
+/// propagates to the caller's `catch_unwind` instead); `Ok` carries the
+/// outcome plus whether the warm cache hit.
+fn run_attempt(
+    index: usize,
+    attempt: u32,
+    scenario: &Scenario,
+    cache: Option<&WarmCache>,
+    hits: &AtomicUsize,
+    collector: Option<&TraceCollector>,
+    ctx: AttemptCtx<'_>,
+) -> Result<(ScenarioOutcome, bool), ScenarioError> {
     match scenario {
         Scenario::Platform(spec) => {
             run_platform_attempt(index, attempt, spec, cache, hits, collector, ctx)
@@ -2328,25 +2292,12 @@ fn run_platform_attempt(
             }
         }
     }
-    if !cancelled && p.time() < spec.duration_s {
-        let remaining = spec.duration_s - p.time();
-        cancelled = run_for(&mut p, remaining, ctx).is_err();
-    }
-    if cancelled {
+    if cancelled || run_to_duration(&mut p, spec.duration_s, ctx).is_err() {
         // The attempt's trace recorder dies with the platform: only
         // completed attempts contribute spans.
         return Err(ctx.timed_out());
     }
-    // Deterministic observability results: transitions, capture, and (when
-    // a recorder was armed) whether it fired.
-    out.transitions.extend(scrape_transitions(&p));
-    out.capture = p.take_capture();
-    if p.recorder().is_some() {
-        out.metrics.push((
-            "recorder_triggered".into(),
-            f64::from(u8::from(out.capture.is_some())),
-        ));
-    }
+    record_observability(&mut out, &mut p);
     if let Some(mut tr) = p.take_trace() {
         tr.end(span, p.time());
         if let Some(c) = collector {
@@ -2356,11 +2307,25 @@ fn run_platform_attempt(
     Ok((out, warm_hit))
 }
 
+/// Deterministic observability results of a finished platform: its
+/// supervisor transitions, its flight-recorder capture, and (when a
+/// recorder was armed) whether it fired.
+fn record_observability(out: &mut ScenarioOutcome, p: &mut Platform) {
+    out.transitions.extend(scrape_transitions(p));
+    out.capture = p.take_capture();
+    if p.recorder().is_some() {
+        out.metrics.push((
+            "recorder_triggered".into(),
+            f64::from(u8::from(out.capture.is_some())),
+        ));
+    }
+}
+
 /// Advances `p` by `seconds` — identical tick rounding to
 /// [`Platform::run`] — in [`RUN_BLOCK_TICKS`] chunks so a pending
 /// watchdog cancellation is observed between chunks.
-fn run_for(p: &mut Platform, seconds: f64, ctx: AttemptCtx<'_>) -> Result<(), Cancelled> {
-    let mut ticks = (seconds * p.config().dsp_rate.0).round() as u64;
+fn run_for<L: Lockstep>(p: &mut L, seconds: f64, ctx: AttemptCtx<'_>) -> Result<(), Cancelled> {
+    let mut ticks = (seconds * p.dsp_rate()).round() as u64;
     while ticks > 0 {
         ctx.check()?;
         let block = ticks.min(RUN_BLOCK_TICKS);
@@ -2368,6 +2333,16 @@ fn run_for(p: &mut Platform, seconds: f64, ctx: AttemptCtx<'_>) -> Result<(), Ca
         ticks -= block;
     }
     Ok(())
+}
+
+/// Runs `p` on to the scenario's duration floor when its steps ended
+/// earlier (zero ticks otherwise).
+fn run_to_duration<L: Lockstep>(
+    p: &mut L,
+    duration_s: f64,
+    ctx: AttemptCtx<'_>,
+) -> Result<(), Cancelled> {
+    run_for(p, (duration_s - p.time()).max(0.0), ctx)
 }
 
 /// Steps `p` until `pred` holds or `timeout_s` elapses; returns the
@@ -2392,18 +2367,51 @@ fn run_until(
     Ok(None)
 }
 
-/// Mean rate output (°/s) over `window_s`.
-fn mean_rate(p: &mut Platform, window_s: f64, ctx: AttemptCtx<'_>) -> Result<f64, Cancelled> {
-    let ticks = ((window_s * p.config().dsp_rate.0).round() as u64).max(1);
-    let mut acc = 0.0;
+/// Mean rate output (°/s) over `window_s`, one mean per lane.
+fn mean_rate<L: Lockstep>(
+    p: &mut L,
+    window_s: f64,
+    ctx: AttemptCtx<'_>,
+) -> Result<Vec<f64>, Cancelled> {
+    let ticks = ((window_s * p.dsp_rate()).round() as u64).max(1);
+    let mut acc = vec![0.0; p.lanes()];
     for i in 0..ticks {
         if i % HEARTBEAT_TICKS == 0 {
             ctx.check()?;
         }
         p.step();
-        acc += p.rate_output_dps();
+        for (lane, a) in acc.iter_mut().enumerate() {
+            *a += p.rate_output_dps(lane);
+        }
     }
-    Ok(acc / ticks as f64)
+    Ok(acc.into_iter().map(|a| a / ticks as f64).collect())
+}
+
+/// Runs one step of the lockstep vocabulary ([`Step::is_lockstep`]) on
+/// every lane of `p`, recording each lane's measurements in its outcome
+/// (`outs[lane]`). The scalar interpreter ([`apply_step`]) passes one
+/// platform and a one-element slice; a fleet passes one outcome per lane.
+fn apply_lockstep<L: Lockstep>(
+    p: &mut L,
+    step: &Step,
+    outs: &mut [ScenarioOutcome],
+    ctx: AttemptCtx<'_>,
+) -> Result<(), Cancelled> {
+    match step {
+        Step::Run { seconds } => run_for(p, *seconds, ctx)?,
+        Step::SetRate { dps } => p.for_each_platform(|p| p.set_rate(DegPerSec(*dps))),
+        Step::SetTemperature { celsius } => {
+            p.for_each_platform(|p| p.set_temperature(Celsius(*celsius)));
+        }
+        Step::MeasureMeanRate { label, window_s } => {
+            for (out, mean) in outs.iter_mut().zip(mean_rate(p, *window_s, ctx)?) {
+                out.metrics.push((label.clone(), mean));
+            }
+        }
+        // Outside the vocabulary: `apply_step` runs these on one platform.
+        _ => {}
+    }
+    Ok(())
 }
 
 /// Runs one step; `Ok(false)` means the remaining steps must be skipped
@@ -2419,6 +2427,10 @@ fn apply_step(
     scratch: &mut Scratch,
     ctx: AttemptCtx<'_>,
 ) -> Result<bool, Cancelled> {
+    if step.is_lockstep() {
+        apply_lockstep(p, step, std::slice::from_mut(out), ctx)?;
+        return Ok(true);
+    }
     let push = |out: &mut ScenarioOutcome, name: &str, value: f64| {
         out.metrics.push((name.to_owned(), value));
     };
@@ -2451,9 +2463,6 @@ fn apply_step(
                 }
             }
         }
-        Step::Run { seconds } => run_for(p, *seconds, ctx)?,
-        Step::SetRate { dps } => p.set_rate(DegPerSec(*dps)),
-        Step::SetTemperature { celsius } => p.set_temperature(Celsius(*celsius)),
         Step::FreezeAgcDrive { resettle_s } => {
             let settled_drive = p.chain().drive();
             let mut frozen = p.chain().config().clone();
@@ -2470,10 +2479,6 @@ fn apply_step(
             ctx.check()?;
             let phase = trim_rebalance_phase(p, *probe_rate_dps, *iterations);
             push(out, "rebalance_phase_rad", phase);
-        }
-        Step::MeasureMeanRate { label, window_s } => {
-            let mean = mean_rate(p, *window_s, ctx)?;
-            push(out, label, mean);
         }
         Step::MeasureSensitivity {
             label,
@@ -2551,7 +2556,7 @@ fn apply_step(
             recover_budget_s,
             measure_recovery,
         } => {
-            let baseline = mean_rate(p, 0.05, ctx)?;
+            let baseline = mean_rate(p, 0.05, ctx)?[0];
             push(out, "baseline_dps", baseline);
             // Detection: first departure from Normal after injection.
             let detect_window = (t_inject_s - p.time()).max(0.0) + detect_budget_s;
@@ -2577,7 +2582,7 @@ fn apply_step(
                         push(
                             out,
                             "residual_rate_dps",
-                            (mean_rate(p, 0.1, ctx)? - baseline).abs(),
+                            (mean_rate(p, 0.1, ctx)?[0] - baseline).abs(),
                         );
                     }
                     None => push(out, "recovered", 0.0),
@@ -2585,6 +2590,8 @@ fn apply_step(
             }
             push(out, "final_state_code", p.supervisor().state().code());
         }
+        // The lockstep vocabulary ran above.
+        _ => {}
     }
     Ok(true)
 }
@@ -2830,8 +2837,9 @@ mod tests {
 
     #[test]
     fn retry_makes_chaos_byte_identical_to_undisturbed() {
+        // Scenario 0 is a plain scenario in one campaign and the first lane
+        // of a fleet-batched Monte-Carlo population in the other.
         let seed = chaos_seed_with(ChaosInjection::Panic);
-        let clean = runner(2).run(quick_scenarios());
         let chaotic = CampaignRunner::with_options(
             CampaignOptions::builder()
                 .threads(2)
@@ -2840,14 +2848,17 @@ mod tests {
                 .chaos(ChaosPlan::new(seed).with_stall_cap_s(0.05))
                 .build()
                 .expect("valid options"),
-        )
-        .run(quick_scenarios());
-        assert_eq!(chaotic.poisoned(), 0, "one retry must absorb the chaos");
-        assert!(chaotic.retries_total() >= 1, "chaos must have fired");
-        assert_eq!(clean.to_csv(), chaotic.to_csv());
-        for (a, b) in clean.outcomes.iter().zip(&chaotic.outcomes) {
-            assert_eq!(a.metrics, b.metrics);
-            assert_eq!(a.seed, b.seed, "retry must not re-derive the seed");
+        );
+        for specs in [quick_scenarios(), vec![mc_spec()]] {
+            let clean = runner(2).run(specs.clone());
+            let disturbed = chaotic.run(specs);
+            assert_eq!(disturbed.poisoned(), 0, "one retry must absorb the chaos");
+            assert!(disturbed.retries_total() >= 1, "chaos must have fired");
+            assert_eq!(clean.to_csv(), disturbed.to_csv());
+            for (a, b) in clean.outcomes.iter().zip(&disturbed.outcomes) {
+                assert_eq!(a.metrics, b.metrics);
+                assert_eq!(a.seed, b.seed, "retry must not re-derive the seed");
+            }
         }
     }
 
@@ -3025,15 +3036,22 @@ mod tests {
             PlatformFleet::new(platforms).is_ok(),
             "dispersed mc lanes must be fleet-eligible"
         );
-        // Warm-start and fleet(false) both force every lane scalar.
-        for options in [
-            CampaignOptions::builder().warm_start(true),
-            CampaignOptions::builder().fleet(false),
+        // Warm-start and chaos compose with the fleet; tracing and
+        // fleet(false) force every lane scalar.
+        for (options, fleet) in [
+            (CampaignOptions::builder().warm_start(true), true),
+            (CampaignOptions::builder().chaos(ChaosPlan::new(1)), true),
+            (CampaignOptions::builder().tracing(true), false),
+            (CampaignOptions::builder().fleet(false), false),
         ] {
-            let scalar_runner = CampaignRunner::with_options(options.build().expect("valid"));
-            let units = scalar_runner.plan_units(work.clone(), &parents);
-            assert_eq!(units.len(), 5);
-            assert!(units.iter().all(|u| matches!(u, WorkUnit::Single(..))));
+            let runner = CampaignRunner::with_options(options.build().expect("valid"));
+            let units = runner.plan_units(work.clone(), &parents);
+            if fleet {
+                assert!(matches!(&units[..], [WorkUnit::Fleet(lanes)] if lanes.len() == 5));
+            } else {
+                assert_eq!(units.len(), 5);
+                assert!(units.iter().all(|u| matches!(u, WorkUnit::Single(..))));
+            }
         }
     }
 

@@ -2041,8 +2041,8 @@ impl std::fmt::Display for FleetIneligible {
     }
 }
 
-/// The hot structure-of-arrays kernels of a fleet, extracted together so a
-/// monitor-boundary re-extraction is one call.
+/// The hot structure-of-arrays kernels of a fleet, except the ADC kernel:
+/// re-extracted wholesale at every monitor boundary.
 ///
 /// Same-type component pairs are **fused** into one wide kernel — the
 /// primary and secondary analog paths share a 2N-lane kernel (lanes
@@ -2059,153 +2059,79 @@ struct FleetKernels {
     aaf: AafLanes,
     /// `[pga_pri | pga_sec]`, 2N lanes.
     pga: PgaLanes,
-    /// `[adc_pri | adc_sec]`, 2N lanes.
-    adc: AdcLanes,
     demod: DemodLanes,
     /// `[drive | rebalance | rate]`, 3N lanes.
     dac: DacLanes,
 }
 
+/// The same-type components `fields` picks from every platform, fused in
+/// kernel order: every lane's first component, then every lane's second,
+/// and so on (`[primary | secondary]`, `[drive | rebalance | rate]`).
+fn fused<'a, T: 'a, const K: usize>(
+    platforms: &'a [Platform],
+    fields: for<'p> fn(&'p Platform) -> [&'p T; K],
+) -> impl Iterator<Item = &'a T> {
+    (0..K).flat_map(move |k| platforms.iter().map(move |p| fields(p)[k]))
+}
+
+/// [`fused`] for writing back: the components as mutable borrows.
+fn fused_mut<'a, T: 'a, const K: usize>(
+    platforms: &'a mut [Platform],
+    fields: for<'p> fn(&'p mut Platform) -> [&'p mut T; K],
+) -> std::vec::IntoIter<&'a mut T> {
+    let mut segments: [Vec<&mut T>; K] = std::array::from_fn(|_| Vec::new());
+    for p in platforms {
+        for (segment, field) in segments.iter_mut().zip(fields(p)) {
+            segment.push(field);
+        }
+    }
+    let fused: Vec<&mut T> = segments.into_iter().flatten().collect();
+    fused.into_iter()
+}
+
+/// The fused `[adc_pri | adc_sec]` converter population.
+fn adc_lanes(platforms: &[Platform]) -> impl Iterator<Item = &SarAdc> {
+    fused(platforms, |p| [&p.adc_pri, &p.adc_sec])
+}
+
 impl FleetKernels {
-    /// Extracts every hot kernel; `Err` names the first component whose
-    /// lanes are not extractable (mixed noise phase, an active ADC fault,
-    /// non-uniform decimator state). Fusion makes the phase-uniformity
-    /// requirement span the primary *and* secondary populations (and all
-    /// three DACs); platforms stepped from construction always satisfy it.
-    fn extract(platforms: &[Platform], sub_dt: f64, dsp_dt: f64) -> Result<Self, String> {
-        let p = platforms;
+    /// Extracts every kernel; `Err` names the first component whose lanes
+    /// are not extractable (mixed noise phase, non-uniform decimator
+    /// state). Fusion makes the phase-uniformity requirement span the
+    /// primary *and* secondary populations (and all three DACs); platforms
+    /// stepped from construction always satisfy it.
+    fn extract(p: &[Platform], sub_dt: f64, dsp_dt: f64) -> Result<Self, &'static str> {
         Ok(Self {
             gyro: GyroLanes::extract(p.iter().map(|p| &p.gyro), sub_dt)
                 .ok_or("gyro noise lanes not phase-uniform")?,
-            charge: ChargeLanes::extract(
-                p.iter()
-                    .map(|p| &p.charge_pri)
-                    .chain(p.iter().map(|p| &p.charge_sec)),
-            )
-            .ok_or("charge-amp lanes not phase-uniform")?,
-            aaf: AafLanes::extract(
-                p.iter()
-                    .map(|p| &p.aaf_pri)
-                    .chain(p.iter().map(|p| &p.aaf_sec)),
-            ),
-            pga: PgaLanes::extract(
-                p.iter()
-                    .map(|p| &p.pga_pri)
-                    .chain(p.iter().map(|p| &p.pga_sec)),
-                dsp_dt,
-            )
-            .ok_or("PGA lanes not phase-uniform")?,
-            adc: AdcLanes::extract(
-                p.iter()
-                    .map(|p| &p.adc_pri)
-                    .chain(p.iter().map(|p| &p.adc_sec)),
-            )
-            .ok_or("ADC lanes faulted or not phase-uniform")?,
+            charge: ChargeLanes::extract(fused(p, |p| [&p.charge_pri, &p.charge_sec]))
+                .ok_or("charge-amp lanes not phase-uniform")?,
+            aaf: AafLanes::extract(fused(p, |p| [&p.aaf_pri, &p.aaf_sec])),
+            pga: PgaLanes::extract(fused(p, |p| [&p.pga_pri, &p.pga_sec]), dsp_dt)
+                .ok_or("PGA lanes not phase-uniform")?,
             demod: DemodLanes::extract(p.iter().map(|p| p.chain.demod()))
                 .ok_or("demodulator lanes not decimation-uniform")?,
-            dac: DacLanes::extract(
-                p.iter()
-                    .map(|p| &p.drive_dac)
-                    .chain(p.iter().map(|p| &p.rebalance_dac))
-                    .chain(p.iter().map(|p| &p.rate_dac)),
-            )
-            .ok_or("DAC lanes not phase-uniform")?,
+            dac: DacLanes::extract(fused(p, |p| [&p.drive_dac, &p.rebalance_dac, &p.rate_dac]))
+                .ok_or("DAC lanes not phase-uniform")?,
         })
     }
 
-    /// Writes every kernel's state back into the platforms' components.
-    /// The fused kernels restore through collected field borrows so the
-    /// primary/secondary (and per-DAC) segments land on the right
-    /// components in lane order.
-    fn restore(&self, platforms: &mut [Platform]) {
-        let n = platforms.len();
-        self.gyro.restore(platforms.iter_mut().map(|p| &mut p.gyro));
+    /// Writes every kernel's state — and the fleet's ADC kernel `adc` —
+    /// back into the platforms' components.
+    fn restore(&self, adc: &AdcLanes, p: &mut [Platform]) {
+        self.gyro.restore(p.iter_mut().map(|p| &mut p.gyro));
         self.demod
-            .restore(platforms.iter_mut().map(|p| p.chain.demod_mut()));
-        let mut chg: Vec<&mut ChargeAmplifier> = Vec::with_capacity(2 * n);
-        let mut aaf: Vec<&mut AntiAliasFilter> = Vec::with_capacity(2 * n);
-        let mut pga: Vec<&mut Pga> = Vec::with_capacity(2 * n);
-        let mut adc: Vec<&mut SarAdc> = Vec::with_capacity(2 * n);
-        let mut dac: Vec<&mut Dac> = Vec::with_capacity(3 * n);
-        let mut sec_chg: Vec<&mut ChargeAmplifier> = Vec::with_capacity(n);
-        let mut sec_aaf: Vec<&mut AntiAliasFilter> = Vec::with_capacity(n);
-        let mut sec_pga: Vec<&mut Pga> = Vec::with_capacity(n);
-        let mut sec_adc: Vec<&mut SarAdc> = Vec::with_capacity(n);
-        let mut reb_dac: Vec<&mut Dac> = Vec::with_capacity(n);
-        let mut rate_dac: Vec<&mut Dac> = Vec::with_capacity(n);
-        for p in platforms.iter_mut() {
-            chg.push(&mut p.charge_pri);
-            sec_chg.push(&mut p.charge_sec);
-            aaf.push(&mut p.aaf_pri);
-            sec_aaf.push(&mut p.aaf_sec);
-            pga.push(&mut p.pga_pri);
-            sec_pga.push(&mut p.pga_sec);
-            adc.push(&mut p.adc_pri);
-            sec_adc.push(&mut p.adc_sec);
-            dac.push(&mut p.drive_dac);
-            reb_dac.push(&mut p.rebalance_dac);
-            rate_dac.push(&mut p.rate_dac);
-        }
-        chg.append(&mut sec_chg);
-        aaf.append(&mut sec_aaf);
-        pga.append(&mut sec_pga);
-        adc.append(&mut sec_adc);
-        dac.append(&mut reb_dac);
-        dac.append(&mut rate_dac);
-        self.charge.restore(chg.into_iter());
-        self.aaf.restore(aaf.into_iter());
-        self.pga.restore(pga.into_iter());
-        self.adc.restore(adc.into_iter());
-        self.dac.restore(dac.into_iter());
-    }
-
-    /// Monitor-boundary re-extraction: everything is re-read from the
-    /// platforms (cheap, O(lanes) per kernel) except the ADC kernel,
-    /// whose seeded DNL tables are refreshed in place unless a converter
-    /// was rebuilt at a new resolution ([`AdcLanes::refresh`]).
-    fn re_extract(&mut self, platforms: &[Platform], sub_dt: f64, dsp_dt: f64) {
-        let p = platforms;
-        self.gyro = GyroLanes::extract(p.iter().map(|p| &p.gyro), sub_dt)
-            .expect("lockstep lanes stay phase-uniform");
-        self.charge = ChargeLanes::extract(
-            p.iter()
-                .map(|p| &p.charge_pri)
-                .chain(p.iter().map(|p| &p.charge_sec)),
-        )
-        .expect("lockstep lanes stay phase-uniform");
-        self.aaf = AafLanes::extract(
-            p.iter()
-                .map(|p| &p.aaf_pri)
-                .chain(p.iter().map(|p| &p.aaf_sec)),
-        );
-        self.pga = PgaLanes::extract(
-            p.iter()
-                .map(|p| &p.pga_pri)
-                .chain(p.iter().map(|p| &p.pga_sec)),
-            dsp_dt,
-        )
-        .expect("lockstep lanes stay phase-uniform");
-        if !self.adc.refresh(
-            p.iter()
-                .map(|p| &p.adc_pri)
-                .chain(p.iter().map(|p| &p.adc_sec)),
-        ) {
-            self.adc = AdcLanes::extract(
-                p.iter()
-                    .map(|p| &p.adc_pri)
-                    .chain(p.iter().map(|p| &p.adc_sec)),
-            )
-            .expect("fleet-run ADCs stay fault-free and phase-uniform");
-        }
-        self.demod = DemodLanes::extract(p.iter().map(|p| p.chain.demod()))
-            .expect("lockstep lanes stay decimation-uniform");
-        self.dac = DacLanes::extract(
-            p.iter()
-                .map(|p| &p.drive_dac)
-                .chain(p.iter().map(|p| &p.rebalance_dac))
-                .chain(p.iter().map(|p| &p.rate_dac)),
-        )
-        .expect("lockstep lanes stay phase-uniform");
+            .restore(p.iter_mut().map(|p| p.chain.demod_mut()));
+        self.charge
+            .restore(fused_mut(p, |p| [&mut p.charge_pri, &mut p.charge_sec]));
+        self.aaf
+            .restore(fused_mut(p, |p| [&mut p.aaf_pri, &mut p.aaf_sec]));
+        self.pga
+            .restore(fused_mut(p, |p| [&mut p.pga_pri, &mut p.pga_sec]));
+        adc.restore(fused_mut(p, |p| [&mut p.adc_pri, &mut p.adc_sec]));
+        self.dac.restore(fused_mut(p, |p| {
+            [&mut p.drive_dac, &mut p.rebalance_dac, &mut p.rate_dac]
+        }));
     }
 }
 
@@ -2238,6 +2164,8 @@ impl FleetKernels {
 pub struct PlatformFleet {
     platforms: Vec<Platform>,
     k: FleetKernels,
+    /// `[adc_pri | adc_sec]`, 2N lanes.
+    adc: AdcLanes,
     // Uniform run invariants (validated at construction).
     dsp_dt: f64,
     sub_dt: f64,
@@ -2288,8 +2216,13 @@ impl PlatformFleet {
         let (dsp_dt, sub_dt, oversample) = (p0.dsp_dt, p0.sub_dt, p0.config.analog_oversample);
         let (monitor_countdown, tick) = (p0.monitor_countdown, p0.tick);
         let dsp_rate = p0.config.dsp_rate.0;
-        let k = match FleetKernels::extract(&platforms, sub_dt, dsp_dt) {
-            Ok(k) => k,
+        let kernels = FleetKernels::extract(&platforms, sub_dt, dsp_dt).and_then(|k| {
+            let adc = AdcLanes::extract(adc_lanes(&platforms))
+                .ok_or("ADC lanes faulted or not phase-uniform")?;
+            Ok((k, adc))
+        });
+        let (k, adc) = match kernels {
+            Ok(kernels) => kernels,
             Err(reason) => {
                 return Err(FleetIneligible {
                     reason: reason.to_owned(),
@@ -2300,21 +2233,22 @@ impl PlatformFleet {
         let n = platforms.len();
         let mut fleet = Self {
             k,
+            adc,
             dsp_dt,
             sub_dt,
             oversample,
             monitor_countdown,
             tick,
             dsp_rate,
-            drive_force: Vec::with_capacity(n),
-            rebalance_force: Vec::with_capacity(n),
-            sup_enabled: Vec::with_capacity(n),
-            safe_output: Vec::with_capacity(n),
-            vref_drive: Vec::with_capacity(n),
-            pri_min: Vec::with_capacity(n),
-            pri_max: Vec::with_capacity(n),
-            sec_min: Vec::with_capacity(n),
-            sec_max: Vec::with_capacity(n),
+            drive_force: vec![0.0; n],
+            rebalance_force: vec![0.0; n],
+            sup_enabled: vec![false; n],
+            safe_output: vec![false; n],
+            vref_drive: vec![0.0; n],
+            pri_min: vec![0.0; n],
+            pri_max: vec![0.0; n],
+            sec_min: vec![0.0; n],
+            sec_max: vec![0.0; n],
             pick: vec![0.0; 2 * n],
             chg: vec![0.0; 2 * n],
             v: vec![0.0; 2 * n],
@@ -2329,18 +2263,23 @@ impl PlatformFleet {
             dac_out: vec![0.0; 3 * n],
             platforms,
         };
-        for p in &fleet.platforms {
-            fleet.drive_force.push(p.drive_force);
-            fleet.rebalance_force.push(p.rebalance_force);
-            fleet.sup_enabled.push(p.config.supervisor.enabled);
-            fleet.safe_output.push(p.supervisor.wants_safe_output());
-            fleet.vref_drive.push(p.config.drive_dac.vref.0);
-            fleet.pri_min.push(p.pri_min);
-            fleet.pri_max.push(p.pri_max);
-            fleet.sec_min.push(p.sec_min);
-            fleet.sec_max.push(p.sec_max);
-        }
+        fleet.load_mirrors();
         Ok(fleet)
+    }
+
+    /// Reloads the per-lane mirrors of the platforms' hot-path fields.
+    fn load_mirrors(&mut self) {
+        for (l, p) in self.platforms.iter().enumerate() {
+            self.drive_force[l] = p.drive_force;
+            self.rebalance_force[l] = p.rebalance_force;
+            self.sup_enabled[l] = p.config.supervisor.enabled;
+            self.safe_output[l] = p.supervisor.wants_safe_output();
+            self.vref_drive[l] = p.config.drive_dac.vref.0;
+            self.pri_min[l] = p.pri_min;
+            self.pri_max[l] = p.pri_max;
+            self.sec_min[l] = p.sec_min;
+            self.sec_max[l] = p.sec_max;
+        }
     }
 
     /// Static lockstep preconditions (everything except lane extraction).
@@ -2438,7 +2377,7 @@ impl PlatformFleet {
 
         // Acquisition at the DSP rate (fused 2N kernels).
         self.k.pga.process(&self.v, &mut self.amp);
-        self.k.adc.convert_q15(&self.amp, &mut self.q);
+        self.adc.convert_q15(&self.amp, &mut self.q);
         for l in 0..n {
             if self.sup_enabled[l] {
                 let pf = Q15::from_raw(self.q[l]).to_f64();
@@ -2514,7 +2453,7 @@ impl PlatformFleet {
     /// Writes every lane kernel and scalar mirror back into the member
     /// platforms, leaving them byte-identical to individually stepped ones.
     fn sync_back(&mut self) {
-        self.k.restore(&mut self.platforms);
+        self.k.restore(&self.adc, &mut self.platforms);
         for (l, p) in self.platforms.iter_mut().enumerate() {
             p.tick = self.tick;
             p.monitor_countdown = self.monitor_countdown;
@@ -2528,21 +2467,20 @@ impl PlatformFleet {
     }
 
     /// Re-extracts kernels and refreshes the cached per-lane mirrors after
-    /// the platforms were serviced (or mutated by the caller).
+    /// the platforms were serviced (or mutated by the caller). Kernels are
+    /// re-read (cheap, O(lanes) each), except that the ADC kernel's seeded
+    /// DNL tables are refreshed in place unless a converter was rebuilt at
+    /// a new resolution ([`AdcLanes::refresh`]).
     fn resync_after_service(&mut self) {
-        self.k.re_extract(&self.platforms, self.sub_dt, self.dsp_dt);
+        self.k = FleetKernels::extract(&self.platforms, self.sub_dt, self.dsp_dt)
+            .expect("lockstep lanes stay phase- and decimation-uniform");
+        if !self.adc.refresh(adc_lanes(&self.platforms)) {
+            self.adc = AdcLanes::extract(adc_lanes(&self.platforms))
+                .expect("fleet-run ADCs stay fault-free and phase-uniform");
+        }
         self.monitor_countdown = self.platforms[0].monitor_countdown;
         self.tick = self.platforms[0].tick;
-        for (l, p) in self.platforms.iter().enumerate() {
-            self.safe_output[l] = p.supervisor.wants_safe_output();
-            self.sup_enabled[l] = p.config.supervisor.enabled;
-            self.drive_force[l] = p.drive_force;
-            self.rebalance_force[l] = p.rebalance_force;
-            self.pri_min[l] = p.pri_min;
-            self.pri_max[l] = p.pri_max;
-            self.sec_min[l] = p.sec_min;
-            self.sec_max[l] = p.sec_max;
-        }
+        self.load_mirrors();
     }
 
     /// Applies `f` to every member platform with the batched state synced
@@ -2579,6 +2517,71 @@ impl PlatformFleet {
     pub fn into_platforms(mut self) -> Vec<Platform> {
         self.sync_back();
         self.platforms
+    }
+}
+
+/// Lockstep stepping of one or more platforms: the campaign's step
+/// interpreter runs its lockstep vocabulary through this trait, so a
+/// [`Platform`] (the one-lane case) and a [`PlatformFleet`] share one code
+/// path. Each implementor keeps its own `time()`, so tick rounding stays
+/// bit-identical to its inherent stepping.
+pub(crate) trait Lockstep {
+    fn lanes(&self) -> usize;
+    fn time(&self) -> f64;
+    /// DSP tick rate, Hz.
+    fn dsp_rate(&self) -> f64;
+    fn step(&mut self);
+    fn step_block(&mut self, n: u64);
+    /// Rate output of one lane decoded to °/s.
+    fn rate_output_dps(&self, lane: usize) -> f64;
+    fn for_each_platform(&mut self, f: impl FnMut(&mut Platform));
+}
+
+impl Lockstep for Platform {
+    fn lanes(&self) -> usize {
+        1
+    }
+    fn time(&self) -> f64 {
+        Platform::time(self)
+    }
+    fn dsp_rate(&self) -> f64 {
+        self.config.dsp_rate.0
+    }
+    fn step(&mut self) {
+        Platform::step(self);
+    }
+    fn step_block(&mut self, n: u64) {
+        Platform::step_block(self, n);
+    }
+    fn rate_output_dps(&self, _lane: usize) -> f64 {
+        Platform::rate_output_dps(self)
+    }
+    fn for_each_platform(&mut self, mut f: impl FnMut(&mut Platform)) {
+        f(self);
+    }
+}
+
+impl Lockstep for PlatformFleet {
+    fn lanes(&self) -> usize {
+        PlatformFleet::lanes(self)
+    }
+    fn time(&self) -> f64 {
+        PlatformFleet::time(self)
+    }
+    fn dsp_rate(&self) -> f64 {
+        self.dsp_rate
+    }
+    fn step(&mut self) {
+        PlatformFleet::step(self);
+    }
+    fn step_block(&mut self, n: u64) {
+        PlatformFleet::step_block(self, n);
+    }
+    fn rate_output_dps(&self, lane: usize) -> f64 {
+        PlatformFleet::rate_output_dps(self, lane)
+    }
+    fn for_each_platform(&mut self, f: impl FnMut(&mut Platform)) {
+        PlatformFleet::for_each_platform(self, f);
     }
 }
 

@@ -41,11 +41,12 @@ fn mc_spec(lanes: usize, dispersion: Dispersion, seed: u64) -> ScenarioSpec {
         .monte_carlo(lanes, dispersion)
 }
 
-fn runner(threads: usize, fleet: bool) -> CampaignRunner {
+fn runner(threads: usize, fleet: bool, warm: bool) -> CampaignRunner {
     CampaignRunner::with_options(
         CampaignOptions::builder()
             .threads(threads)
             .fleet(fleet)
+            .warm_start(warm)
             .build()
             .expect("valid options"),
     )
@@ -58,20 +59,23 @@ proptest! {
     })]
 
     /// Fleet batching is invisible in every campaign artifact: for any
-    /// population size up to the fleet width and any thread count, the
-    /// CSV and outcomes match scalar execution byte-for-byte.
+    /// population size up to the fleet width, any thread count and the
+    /// warm-start cache on or off, the CSV and outcomes match cold scalar
+    /// execution byte-for-byte, and no lane hits the cache.
     #[test]
     fn fleet_csv_is_byte_identical_to_scalar(
         lanes in 1usize..=16,
         threads_exp in 0u32..3,
         dispersion in dispersion_strategy(),
         seed in any::<u64>(),
+        warm in any::<bool>(),
     ) {
         let threads = 1usize << threads_exp; // 1, 2, or 4 workers
-        let scalar = runner(1, false).run(vec![mc_spec(lanes, dispersion, seed)]);
-        let fleet = runner(threads, true).run(vec![mc_spec(lanes, dispersion, seed)]);
+        let scalar = runner(1, false, false).run(vec![mc_spec(lanes, dispersion, seed)]);
+        let fleet = runner(threads, true, warm).run(vec![mc_spec(lanes, dispersion, seed)]);
         prop_assert_eq!(&scalar.outcomes, &fleet.outcomes);
         prop_assert_eq!(scalar.to_csv(), fleet.to_csv());
+        prop_assert_eq!(fleet.warm_hits, 0);
     }
 
     /// Fleet-evolved state is scalar state: after `k` lockstep ticks,
