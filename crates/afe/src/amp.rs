@@ -23,6 +23,9 @@ pub struct Pga {
     bandwidth: f64,
     /// Internal one-pole state.
     state: f64,
+    /// One-pole coefficient cached for `alpha_key = (bandwidth, dt)`.
+    alpha: f64,
+    alpha_key: (f64, f64),
     /// Input-referred offset at 25 °C (V).
     offset: f64,
     /// Offset drift (V/°C).
@@ -60,6 +63,8 @@ impl Pga {
             gains: Self::GAIN_LADDER.to_vec(),
             bandwidth: bandwidth_hz,
             state: 0.0,
+            alpha: 0.0,
+            alpha_key: (f64::NAN, f64::NAN),
             offset: offset_v,
             offset_tc: offset_tc_v,
             temperature: Celsius(25.0),
@@ -126,9 +131,15 @@ impl Pga {
     pub fn process(&mut self, input: Volts, dt: f64) -> Volts {
         let x = input.0 + self.effective_offset().0 + self.white.sample() + self.pink.sample();
         let y_target = x * self.gain();
-        // One-pole lowpass toward the target (amplifier bandwidth).
-        let alpha = 1.0 - (-2.0 * std::f64::consts::PI * self.bandwidth * dt).exp();
-        self.state += alpha * (y_target - self.state);
+        // One-pole lowpass toward the target (amplifier bandwidth). The
+        // coefficient depends only on the bandwidth and `dt`, so it is
+        // cached and refreshed when either changes (a reprogrammed or
+        // restored bandwidth included) — not an `exp` per sample.
+        if (self.bandwidth, dt) != self.alpha_key {
+            self.alpha = 1.0 - (-2.0 * std::f64::consts::PI * self.bandwidth * dt).exp();
+            self.alpha_key = (self.bandwidth, dt);
+        }
+        self.state += self.alpha * (y_target - self.state);
         Volts(self.state.clamp(-self.rail.0, self.rail.0))
     }
 
@@ -466,6 +477,40 @@ mod tests {
         let mut pga = quiet_pga();
         pga.set_bandwidth(5_000.0);
         assert_eq!(pga.bandwidth(), 5_000.0);
+    }
+
+    #[test]
+    fn cached_pole_follows_bandwidth_dt_and_restore() {
+        // Noise-free one-pole recurrence with the pole evaluated afresh.
+        let step = |y: f64, bw: f64, dt: f64| {
+            let alpha = 1.0 - (-2.0 * std::f64::consts::PI * bw * dt).exp();
+            y + alpha * (0.01 - y)
+        };
+        let mut pga = quiet_pga();
+        let mut y = 0.0;
+        for (bw, dt) in [(100_000.0, DT), (100_000.0, 2.0 * DT), (3_000.0, 2.0 * DT)] {
+            if bw != pga.bandwidth() {
+                pga.set_bandwidth(bw);
+            }
+            for _ in 0..5 {
+                y = step(y, bw, dt);
+                assert_eq!(pga.process(Volts(0.01), dt).0.to_bits(), y.to_bits());
+            }
+        }
+        // A restored bandwidth replaces the one the target had cached.
+        let mut w = StateWriter::new();
+        pga.save_state(&mut w);
+        let mut restored = quiet_pga();
+        restored.process(Volts(0.0), DT);
+        restored
+            .load_state(&mut StateReader::new(w.bytes()))
+            .expect("valid state");
+        for _ in 0..5 {
+            assert_eq!(
+                restored.process(Volts(0.01), 2.0 * DT).0.to_bits(),
+                pga.process(Volts(0.01), 2.0 * DT).0.to_bits()
+            );
+        }
     }
 
     #[test]

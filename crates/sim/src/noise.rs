@@ -12,6 +12,13 @@
 //! measurement. Every source exposes `save_state`/`load_state` over the
 //! [`crate::snapshot`] primitives so the platform checkpoint can capture
 //! RNG streams bit-exactly mid-run.
+//!
+//! Gaussian draws dominate a platform tick, so [`WhiteNoise`] (and through
+//! it [`PinkNoise`] and [`RandomWalk`]) computes its Box–Muller pairs a
+//! small block at a time with the batched [`crate::mathx`] transform. The
+//! block is an implementation detail: the draws, the checkpoint bytes and
+//! the lockstep [`WhiteLanes`]/[`PinkLanes`] mirrors all follow the
+//! pair-by-pair definition documented on [`WhiteNoise`].
 
 use crate::mathx;
 use crate::snapshot::{SnapshotError, StateReader, StateWriter};
@@ -133,11 +140,27 @@ fn uniform_53_split(word: u64) -> f64 {
     ((hi - MAGIC) + lo) * (1.0 / (1u64 << 53) as f64)
 }
 
+/// Box–Muller pairs a [`WhiteNoise`] generates per refill of its block.
+const BLOCK: usize = 16;
+
 /// Gaussian white-noise source (Box–Muller over a seeded PRNG).
 ///
 /// `sigma` is the standard deviation of each sample. For a band-limited
 /// process sampled at `fs`, a white density of `d` units/√Hz corresponds to
 /// `sigma = d * sqrt(fs / 2)`; use [`WhiteNoise::from_density`].
+///
+/// The stream is defined pair by pair: draw `u1` (redrawn while it is
+/// zero) and `u2` from the PRNG, emit `r·cos θ`, then `r·sin θ`. The
+/// source computes those pairs a block at a time — it walks the PRNG for
+/// a fixed number of pairs, runs the batched [`mathx::box_muller_slice`]
+/// once, and serves the normals in draw order — so the `ln`/`sqrt`/`sincos`
+/// chains of neighbouring pairs overlap instead of serializing. A block is
+/// filled on the first draw after the previous one is spent, so
+/// construction draws nothing and a zero-`sigma` source never advances
+/// its PRNG. The bits are those of the pair-by-pair definition.
+/// Checkpoints and [`WhiteLanes`] extraction see only that definition's
+/// state (PRNG state plus an optional cached half-sample), never the
+/// block.
 ///
 /// # Example
 ///
@@ -150,8 +173,14 @@ fn uniform_53_split(word: u64) -> f64 {
 #[derive(Debug, Clone)]
 pub struct WhiteNoise {
     sigma: f64,
+    /// Walk head: the PRNG state after the last pair in `normals`.
     rng: Rng64,
-    cached: Option<f64>,
+    /// Unit normals of the current block in draw order (cos, sin, cos, …).
+    normals: [f64; 2 * BLOCK],
+    /// PRNG state before each pair of the block.
+    pair_start: [u64; BLOCK],
+    /// Next read index into `normals`; `2 * BLOCK` when the block is spent.
+    pos: usize,
 }
 
 impl WhiteNoise {
@@ -169,7 +198,9 @@ impl WhiteNoise {
         Self {
             sigma,
             rng: Rng64::new(seed),
-            cached: None,
+            normals: [0.0; 2 * BLOCK],
+            pair_start: [0; BLOCK],
+            pos: 2 * BLOCK,
         }
     }
 
@@ -192,33 +223,115 @@ impl WhiteNoise {
     }
 
     /// Draws the next Gaussian sample.
+    #[inline]
     pub fn sample(&mut self) -> f64 {
         if self.sigma == 0.0 {
             return 0.0;
         }
-        if let Some(z) = self.cached.take() {
-            return z * self.sigma;
+        if self.pos >= 2 * BLOCK {
+            self.refill();
+            self.pos = 0;
         }
-        // Box–Muller: two uniforms -> two independent normals, through the
-        // deterministic `mathx` kernels so scalar and SoA-lane execution
-        // produce identical bits.
-        let u1: f64 = loop {
-            let u = self.rng.next_f64();
-            if u > 0.0 {
-                break u;
+        let z = self.normals[self.pos];
+        self.pos += 1;
+        z * self.sigma
+    }
+
+    /// Computes the next `BLOCK` Box–Muller pairs into `normals`.
+    #[inline(never)]
+    fn refill(&mut self) {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: guarded by the runtime AVX2 check above.
+                unsafe { self.refill_avx2() };
+                return;
             }
-        };
-        let u2: f64 = self.rng.next_f64();
-        let (z_cos, z_sin) = mathx::box_muller(u1, u2);
-        self.cached = Some(z_sin);
-        z_cos * self.sigma
+        }
+        self.refill_block();
+    }
+
+    /// The refill body. The PRNG walk is one serial chain; the uniform
+    /// conversion and the transform are independent per pair and batch.
+    #[inline(always)]
+    fn refill_block(&mut self) {
+        let mut w1 = [0u64; BLOCK];
+        let mut w2 = [0u64; BLOCK];
+        let mut state = self.rng.state;
+        for k in 0..BLOCK {
+            self.pair_start[k] = state;
+            let mut w = xorshift_next(&mut state);
+            // The pair definition redraws `u1` while it is zero, i.e.
+            // while the word's top 53 bits are.
+            while w >> 11 == 0 {
+                w = xorshift_next(&mut state);
+            }
+            w1[k] = w;
+            w2[k] = xorshift_next(&mut state);
+        }
+        self.rng.state = state;
+        let u1 = w1.map(uniform_53_split);
+        let u2 = w2.map(uniform_53_split);
+        let mut z_cos = [0.0; BLOCK];
+        let mut z_sin = [0.0; BLOCK];
+        mathx::box_muller_slice(&u1, &u2, &mut z_cos, &mut z_sin);
+        for (pair, (&zc, &zs)) in self
+            .normals
+            .chunks_exact_mut(2)
+            .zip(z_cos.iter().zip(&z_sin))
+        {
+            pair[0] = zc;
+            pair[1] = zs;
+        }
+    }
+
+    /// AVX2 copy of the refill (integer and IEEE float ops give the same
+    /// bits at any width).
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn refill_avx2(&mut self) {
+        self.refill_block();
+    }
+
+    /// The pair-by-pair sampler's state at the read position: the PRNG
+    /// state before the next pair, and the pending sin half-sample when
+    /// the read position is mid-pair.
+    fn logical_state(&self) -> (u64, Option<f64>) {
+        let pair = self.pos / 2;
+        if self.pos >= 2 * BLOCK {
+            (self.rng.state, None)
+        } else if self.pos.is_multiple_of(2) {
+            (self.pair_start[pair], None)
+        } else {
+            let after = self.pair_start.get(pair + 1).copied();
+            (
+                after.unwrap_or(self.rng.state),
+                Some(self.normals[self.pos]),
+            )
+        }
+    }
+
+    /// Inverse of [`WhiteNoise::logical_state`]: a pending half-sample
+    /// becomes the last entry of an otherwise spent block.
+    fn set_logical_state(&mut self, state: u64, cached: Option<f64>) {
+        self.rng.state = state;
+        self.pos = 2 * BLOCK;
+        if let Some(z) = cached {
+            self.pos -= 1;
+            self.normals[self.pos] = z;
+        }
     }
 
     /// Serializes sigma, the PRNG, and the cached Box–Muller half-sample.
     pub fn save_state(&self, w: &mut StateWriter) {
+        let (state, cached) = self.logical_state();
         w.put_f64(self.sigma);
-        self.rng.save_state(w);
-        w.put_opt_f64(self.cached);
+        Rng64 { state }.save_state(w);
+        w.put_opt_f64(cached);
     }
 
     /// Restores the full source state (bit-exact continuation).
@@ -229,7 +342,8 @@ impl WhiteNoise {
     pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
         self.sigma = r.take_f64()?;
         self.rng.load_state(r)?;
-        self.cached = r.take_opt_f64()?;
+        let cached = r.take_opt_f64()?;
+        self.set_logical_state(self.rng.state, cached);
         Ok(())
     }
 }
@@ -344,14 +458,15 @@ impl WhiteLanes {
         let mut cached = Vec::new();
         let mut phase: Option<bool> = None;
         for s in sources {
+            let (st, half) = s.logical_state();
             match phase {
-                None => phase = Some(s.cached.is_some()),
-                Some(p) if p != s.cached.is_some() => return None,
+                None => phase = Some(half.is_some()),
+                Some(p) if p != half.is_some() => return None,
                 Some(_) => {}
             }
             sigma.push(s.sigma);
-            state.push(s.rng.state);
-            cached.push(s.cached.unwrap_or(0.0));
+            state.push(st);
+            cached.push(half.unwrap_or(0.0));
         }
         let n = sigma.len();
         let zeros = sigma.iter().filter(|&&s| s == 0.0).count();
@@ -375,13 +490,13 @@ impl WhiteLanes {
     /// as extraction).
     pub fn restore<'a>(&self, sources: impl Iterator<Item = &'a mut WhiteNoise>) {
         for (l, s) in sources.enumerate() {
-            s.rng.state = self.state[l];
-            s.cached = if self.has_cached {
-                Some(self.cached[l])
-            } else {
-                None
-            };
+            self.restore_lane(l, s);
         }
+    }
+
+    /// Writes lane `l`'s PRNG walk and cached half-sample into `source`.
+    fn restore_lane(&self, l: usize, source: &mut WhiteNoise) {
+        source.set_logical_state(self.state[l], self.has_cached.then_some(self.cached[l]));
     }
 
     /// Number of lanes.
@@ -518,12 +633,7 @@ impl PinkLanes {
                 s.rows[r] = self.rows[r * n + l];
             }
             s.counter = self.counter;
-            s.white.rng.state = self.white.state[l];
-            s.white.cached = if self.white.has_cached {
-                Some(self.white.cached[l])
-            } else {
-                None
-            };
+            self.white.restore_lane(l, &mut s.white);
         }
     }
 
@@ -794,6 +904,228 @@ mod tests {
             for (a, b) in restored.iter_mut().zip(scalar.iter_mut()) {
                 for _ in 0..40 {
                     assert_eq!(a.sample().to_bits(), b.sample().to_bits());
+                }
+            }
+        }
+    }
+
+    /// The pair-by-pair sampler [`WhiteNoise`] computes in blocks, kept
+    /// as its oracle: one Box–Muller pair every second draw, the sin half
+    /// cached.
+    #[derive(Debug, Clone)]
+    struct PairSampler {
+        sigma: f64,
+        rng: Rng64,
+        cached: Option<f64>,
+        rejections: usize,
+    }
+
+    impl PairSampler {
+        fn new(sigma: f64, seed: u64) -> Self {
+            Self {
+                sigma,
+                rng: Rng64::new(seed),
+                cached: None,
+                rejections: 0,
+            }
+        }
+
+        fn sample(&mut self) -> f64 {
+            if self.sigma == 0.0 {
+                return 0.0;
+            }
+            if let Some(z) = self.cached.take() {
+                return z * self.sigma;
+            }
+            let u1: f64 = loop {
+                let u = self.rng.next_f64();
+                if u > 0.0 {
+                    break u;
+                }
+                self.rejections += 1;
+            };
+            let u2: f64 = self.rng.next_f64();
+            let (z_cos, z_sin) = mathx::box_muller(u1, u2);
+            self.cached = Some(z_sin);
+            z_cos * self.sigma
+        }
+
+        fn state_bytes(&self) -> Vec<u8> {
+            let mut w = StateWriter::new();
+            w.put_f64(self.sigma);
+            self.rng.save_state(&mut w);
+            w.put_opt_f64(self.cached);
+            w.into_bytes()
+        }
+    }
+
+    fn state_bytes(n: &WhiteNoise) -> Vec<u8> {
+        let mut w = StateWriter::new();
+        n.save_state(&mut w);
+        w.into_bytes()
+    }
+
+    /// Draws from both samplers in step, checking every draw's bits and
+    /// the saved state after it.
+    fn assert_same_stream(block: &mut WhiteNoise, oracle: &mut PairSampler, draws: usize) {
+        for d in 0..draws {
+            let (a, b) = (block.sample(), oracle.sample());
+            assert_eq!(a.to_bits(), b.to_bits(), "draw {d}: {a} vs {b}");
+            assert_eq!(
+                state_bytes(block),
+                oracle.state_bytes(),
+                "state after draw {d}"
+            );
+        }
+    }
+
+    #[test]
+    fn block_sampler_matches_pair_oracle() {
+        for seed in [0u64, 1, 7, 0xdead_beef, u64::MAX] {
+            for sigma in [1.0, 0.37, 0.0] {
+                let mut block = WhiteNoise::new(sigma, seed);
+                let mut oracle = PairSampler::new(sigma, seed);
+                // Offset 0 first, then every offset through three blocks:
+                // even, odd and block-boundary read positions.
+                assert_eq!(state_bytes(&block), oracle.state_bytes());
+                assert_same_stream(&mut block, &mut oracle, 3 * 2 * BLOCK + 1);
+            }
+        }
+    }
+
+    #[test]
+    fn loading_a_cached_half_sample_continues_the_stream() {
+        let mut oracle = PairSampler::new(0.8, 41);
+        for _ in 0..2 * BLOCK + 5 {
+            oracle.sample();
+        }
+        let saved = oracle.state_bytes();
+        // The target is itself mid-block, on the other phase.
+        let mut block = WhiteNoise::new(3.0, 99);
+        for _ in 0..10 {
+            block.sample();
+        }
+        block
+            .load_state(&mut StateReader::new(&saved))
+            .expect("valid state");
+        assert!(oracle.cached.is_some());
+        assert_eq!(state_bytes(&block), saved);
+        assert_same_stream(&mut block, &mut oracle, 3 * 2 * BLOCK);
+    }
+
+    #[test]
+    fn lanes_extract_and_restore_through_mid_block_sources() {
+        for offsets in [
+            [1usize, 5, 2 * BLOCK - 1, 2 * BLOCK + 3],
+            [0, 6, 2 * BLOCK, 4 * BLOCK - 2],
+        ] {
+            let seeds = [11u64, 12, 13, 14];
+            let mut sources: Vec<WhiteNoise> =
+                seeds.iter().map(|&s| WhiteNoise::new(0.5, s)).collect();
+            let mut oracles: Vec<PairSampler> =
+                seeds.iter().map(|&s| PairSampler::new(0.5, s)).collect();
+            for ((src, oracle), &off) in sources.iter_mut().zip(&mut oracles).zip(&offsets) {
+                for _ in 0..off {
+                    src.sample();
+                    oracle.sample();
+                }
+            }
+            let mut lanes = WhiteLanes::extract(sources.iter()).expect("uniform phase");
+            let mut out = [0.0; 4];
+            for _ in 0..BLOCK + 3 {
+                lanes.sample(&mut out);
+                for (o, oracle) in out.iter().zip(&mut oracles) {
+                    assert_eq!(o.to_bits(), oracle.sample().to_bits());
+                }
+            }
+            lanes.restore(sources.iter_mut());
+            for (src, oracle) in sources.iter_mut().zip(&mut oracles) {
+                assert_same_stream(src, oracle, 3 * 2 * BLOCK);
+            }
+        }
+        for off in [1usize, 5, 2 * BLOCK, 2 * BLOCK + 1] {
+            let mut sources: Vec<PinkNoise> =
+                (0..3).map(|l| PinkNoise::new(0.4, 12, 30 + l)).collect();
+            for src in &mut sources {
+                for _ in 0..off {
+                    src.sample();
+                }
+            }
+            let mut twins = sources.clone();
+            let mut lanes = PinkLanes::extract(sources.iter()).expect("uniform phase");
+            let mut out = [0.0; 3];
+            for _ in 0..BLOCK + 3 {
+                lanes.sample(&mut out);
+                for (o, twin) in out.iter().zip(&mut twins) {
+                    assert_eq!(o.to_bits(), twin.sample().to_bits());
+                }
+            }
+            lanes.restore(sources.iter_mut());
+            for (src, twin) in sources.iter_mut().zip(&mut twins) {
+                for _ in 0..3 * 2 * BLOCK {
+                    assert_eq!(src.sample().to_bits(), twin.sample().to_bits());
+                }
+            }
+        }
+    }
+
+    /// Undoes `x ^= x >> shift`.
+    fn unshift_right(y: u64, shift: u32) -> u64 {
+        (1..)
+            .map(|j| j * shift)
+            .take_while(|&s| s < 64)
+            .fold(y, |x, s| x ^ (y >> s))
+    }
+
+    /// Undoes `x ^= x << shift`.
+    fn unshift_left(y: u64, shift: u32) -> u64 {
+        (1..)
+            .map(|j| j * shift)
+            .take_while(|&s| s < 64)
+            .fold(y, |x, s| x ^ (y << s))
+    }
+
+    /// The xorshift state whose `(m + 1)`-th output word is `word`.
+    fn state_before_word(word: u64, m: usize) -> u64 {
+        // Inverse of the odd multiplier modulo 2^64 by Newton iteration.
+        const MUL: u64 = 0x2545_f491_4f6c_dd1d;
+        let mut inv = MUL;
+        for _ in 0..6 {
+            inv = inv.wrapping_mul(2u64.wrapping_sub(MUL.wrapping_mul(inv)));
+        }
+        assert_eq!(MUL.wrapping_mul(inv), 1);
+        let mut state = word.wrapping_mul(inv);
+        for _ in 0..=m {
+            state = unshift_right(unshift_left(unshift_right(state, 27), 25), 12);
+        }
+        state
+    }
+
+    #[test]
+    fn rejection_branch_consumes_the_same_words() {
+        for m in [
+            0usize,
+            1,
+            2,
+            7,
+            2 * BLOCK - 2,
+            2 * BLOCK - 1,
+            2 * BLOCK,
+            2 * BLOCK + 1,
+        ] {
+            for word in [1u64, 0x7ff] {
+                let planted = state_before_word(word, m);
+                let mut probe = Rng64 { state: planted };
+                let words: Vec<u64> = (0..=m).map(|_| probe.next_u64()).collect();
+                assert_eq!(words[m], word, "plant at word {m}");
+                let mut block = WhiteNoise::new(1.0, 0);
+                block.set_logical_state(planted, None);
+                let mut oracle = PairSampler::new(1.0, 0);
+                oracle.rng.state = planted;
+                assert_same_stream(&mut block, &mut oracle, 3 * 2 * BLOCK);
+                // A word planted at an even index is some pair's `u1`.
+                if m.is_multiple_of(2) {
+                    assert_eq!(oracle.rejections, 1, "no rejection at word {m}");
                 }
             }
         }

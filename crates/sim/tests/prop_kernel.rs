@@ -2,6 +2,7 @@
 //! reproducibility and trace bookkeeping for arbitrary inputs.
 
 use ascp_sim::noise::{PinkNoise, RandomWalk, WhiteNoise};
+use ascp_sim::snapshot::{StateReader, StateWriter};
 use ascp_sim::stats;
 use ascp_sim::trace::Trace;
 use ascp_sim::{RateDivider, TimeBase};
@@ -63,6 +64,46 @@ proptest! {
         let mut b = PinkNoise::new(1.0, 12, seed);
         for _ in 0..32 {
             prop_assert_eq!(a.sample(), b.sample());
+        }
+    }
+
+    #[test]
+    fn white_noise_restores_at_any_draw_offset(
+        seed in any::<u64>(),
+        sigma in 0.0f64..10.0,
+        n_before in 0usize..100,
+        n_after in 1usize..100,
+    ) {
+        let mut a = WhiteNoise::new(sigma, seed);
+        for _ in 0..n_before {
+            a.sample();
+        }
+        let mut w = StateWriter::new();
+        a.save_state(&mut w);
+        let mut b = WhiteNoise::new(1.0, seed ^ 1);
+        b.load_state(&mut StateReader::new(w.bytes())).expect("valid state");
+        for _ in 0..n_after {
+            prop_assert_eq!(a.sample().to_bits(), b.sample().to_bits());
+        }
+    }
+
+    #[test]
+    fn pink_noise_restores_at_any_draw_offset(
+        seed in any::<u64>(),
+        sigma in 0.0f64..10.0,
+        n_before in 0usize..100,
+        n_after in 1usize..100,
+    ) {
+        let mut a = PinkNoise::new(sigma, 12, seed);
+        for _ in 0..n_before {
+            a.sample();
+        }
+        let mut w = StateWriter::new();
+        a.save_state(&mut w);
+        let mut b = PinkNoise::new(1.0, 12, seed ^ 1);
+        b.load_state(&mut StateReader::new(w.bytes())).expect("valid state");
+        for _ in 0..n_after {
+            prop_assert_eq!(a.sample().to_bits(), b.sample().to_bits());
         }
     }
 

@@ -122,6 +122,11 @@ cargo bench -p ascp-bench --bench campaign_warmstart -- --short
 cargo bench -p ascp-bench --bench campaign_supervised -- --short
 cargo bench -p ascp-bench --bench campaign_montecarlo -- --short
 
+echo "== repository benchmark self-tests (perfbench builds against the public API) =="
+# perfbench is its own cargo workspace over the simulator crates; building
+# and self-testing it here catches a change to a public item it uses.
+cargo test --release --manifest-path perfbench/Cargo.toml
+
 if [ "$RUN_DOCS" = 1 ]; then
     echo "== cargo doc (rustdoc warnings are errors) =="
     RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
