@@ -8,7 +8,7 @@
 //! input-referred noise, offset/gain error, and hard clipping at the rails.
 
 use ascp_dsp::fixed::Q15;
-use ascp_sim::noise::{WhiteLanes, WhiteNoise};
+use ascp_sim::noise::{DrawCount, WhiteLanes, WhiteNoise};
 use ascp_sim::snapshot::{SnapshotError, StateReader, StateWriter};
 use ascp_sim::units::Volts;
 
@@ -247,6 +247,12 @@ impl SarAdc {
         Volts(code as f64 / half * self.config.vref.0)
     }
 
+    /// Gaussian draws taken by this component's noise sources.
+    #[must_use]
+    pub fn noise_draws(&self) -> DrawCount {
+        self.noise.draw_count()
+    }
+
     /// Serializes the converter state: noise generator, the seeded DNL
     /// pattern (saved raw so a restored part keeps its mismatch even if the
     /// generation recipe changes), counters, injected fault, and reference
@@ -356,14 +362,13 @@ pub struct AdcLanes {
 impl AdcLanes {
     /// Captures N converters for lockstep conversion.
     ///
-    /// Returns `None` if any converter has an active fault or the noise
-    /// generators are not phase-uniform.
+    /// Returns `None` if any converter has an active fault.
     pub fn extract<'a>(adcs: impl Iterator<Item = &'a SarAdc>) -> Option<Self> {
         let cs: Vec<&SarAdc> = adcs.collect();
         if cs.iter().any(|a| a.fault.is_some()) {
             return None;
         }
-        let noise = WhiteLanes::extract(cs.iter().map(|a| &a.noise))?;
+        let noise = WhiteLanes::extract(cs.iter().map(|a| &a.noise));
         let n = cs.len();
         let mut lanes = Self {
             half: Vec::with_capacity(n),
@@ -405,8 +410,7 @@ impl AdcLanes {
     /// tables captured at extraction are still exact. Returns `false` —
     /// and leaves `self` unmodified — when the caller must fall back to a
     /// full re-extraction: a converter was rebuilt at a different
-    /// resolution, carries an active fault, or the noise generators lost
-    /// phase uniformity.
+    /// resolution or carries an active fault.
     pub fn refresh<'a>(&mut self, adcs: impl Iterator<Item = &'a SarAdc>) -> bool {
         let cs: Vec<&SarAdc> = adcs.collect();
         if cs.len() != self.half.len() || cs.iter().any(|a| a.fault.is_some()) {
@@ -419,10 +423,7 @@ impl AdcLanes {
         {
             return false;
         }
-        let Some(noise) = WhiteLanes::extract(cs.iter().map(|a| &a.noise)) else {
-            return false;
-        };
-        self.noise = noise;
+        self.noise = WhiteLanes::extract(cs.iter().map(|a| &a.noise));
         for (l, a) in cs.into_iter().enumerate() {
             let c = &a.config;
             self.half[l] = (1i64 << (c.bits - 1)) as f64;

@@ -10,7 +10,7 @@
 //! its temperature drift (null stability), input-referred white + flicker
 //! noise (rate noise density), and rail saturation.
 
-use ascp_sim::noise::{PinkLanes, PinkNoise, WhiteLanes, WhiteNoise};
+use ascp_sim::noise::{DrawCount, PinkLanes, PinkNoise, WhiteLanes, WhiteNoise};
 use ascp_sim::snapshot::{SnapshotError, StateReader, StateWriter};
 use ascp_sim::units::{Celsius, Volts};
 
@@ -148,6 +148,12 @@ impl Pga {
         self.state = 0.0;
     }
 
+    /// Gaussian draws taken by this component's noise sources.
+    #[must_use]
+    pub fn noise_draws(&self) -> DrawCount {
+        self.white.draw_count() + self.pink.draw_count()
+    }
+
     /// Serializes the programmable settings (gain code, bandwidth), filter
     /// state, temperature, and both noise generators.
     pub fn save_state(&self, w: &mut StateWriter) {
@@ -228,6 +234,12 @@ impl ChargeAmplifier {
         Volts((displacement * self.gain + self.noise.sample()).clamp(-self.rail.0, self.rail.0))
     }
 
+    /// Gaussian draws taken by this component's noise sources.
+    #[must_use]
+    pub fn noise_draws(&self) -> DrawCount {
+        self.noise.draw_count()
+    }
+
     /// Serializes the noise generator (gain and rails are configuration).
     pub fn save_state(&self, w: &mut StateWriter) {
         self.noise.save_state(w);
@@ -266,10 +278,11 @@ pub struct PgaLanes {
 impl PgaLanes {
     /// Captures N PGAs for lockstep processing at sample interval `dt`.
     ///
-    /// Returns `None` if the noise generators are not phase-uniform.
+    /// Returns `None` if the flicker sources' sample counters differ (see
+    /// [`PinkLanes::extract`]).
     pub fn extract<'a>(pgas: impl Iterator<Item = &'a Pga>, dt: f64) -> Option<Self> {
         let ps: Vec<&Pga> = pgas.collect();
-        let white = WhiteLanes::extract(ps.iter().map(|p| &p.white))?;
+        let white = WhiteLanes::extract(ps.iter().map(|p| &p.white));
         let pink = PinkLanes::extract(ps.iter().map(|p| &p.pink))?;
         let n = ps.len();
         let mut lanes = Self {
@@ -336,17 +349,15 @@ pub struct ChargeLanes {
 }
 
 impl ChargeLanes {
-    /// Captures N charge amps; `None` if noise phases are not uniform.
-    pub fn extract<'a>(amps: impl Iterator<Item = &'a ChargeAmplifier>) -> Option<Self> {
+    /// Captures N charge amps.
+    pub fn extract<'a>(amps: impl Iterator<Item = &'a ChargeAmplifier>) -> Self {
         let cs: Vec<&ChargeAmplifier> = amps.collect();
-        let noise = WhiteLanes::extract(cs.iter().map(|c| &c.noise))?;
-        let n = cs.len();
-        Some(Self {
+        Self {
             gain: cs.iter().map(|c| c.gain).collect(),
             rail: cs.iter().map(|c| c.rail.0).collect(),
-            noise,
-            draw: vec![0.0; n],
-        })
+            noise: WhiteLanes::extract(cs.iter().map(|c| &c.noise)),
+            draw: vec![0.0; cs.len()],
+        }
     }
 
     /// Writes the noise generators back (gain and rails are configuration).
@@ -556,7 +567,7 @@ mod tests {
         let mut scalars: Vec<ChargeAmplifier> = (0..5)
             .map(|i| ChargeAmplifier::new(1.0e7, 50.0e-6, 7 ^ (i as u64) << 3))
             .collect();
-        let mut lanes = ChargeLanes::extract(scalars.iter()).expect("uniform phase");
+        let mut lanes = ChargeLanes::extract(scalars.iter());
         let mut reference = scalars.clone();
         let mut disp = vec![0.0; 5];
         let mut out = vec![0.0; 5];

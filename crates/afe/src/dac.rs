@@ -6,7 +6,7 @@
 //! (5 mV/°/s around a 2.5 V null).
 
 use ascp_dsp::fixed::Q15;
-use ascp_sim::noise::{WhiteLanes, WhiteNoise};
+use ascp_sim::noise::{DrawCount, WhiteLanes, WhiteNoise};
 use ascp_sim::snapshot::{SnapshotError, StateReader, StateWriter};
 use ascp_sim::units::Volts;
 
@@ -157,6 +157,12 @@ impl Dac {
         self.updates
     }
 
+    /// Gaussian draws taken by this component's noise sources.
+    #[must_use]
+    pub fn noise_draws(&self) -> DrawCount {
+        self.noise.draw_count()
+    }
+
     /// Serializes the held output, update counter, noise generator, and
     /// reference scale.
     pub fn save_state(&self, w: &mut StateWriter) {
@@ -206,11 +212,9 @@ pub struct DacLanes {
 
 impl DacLanes {
     /// Captures N DACs for lockstep writes.
-    ///
-    /// Returns `None` if the noise generators are not phase-uniform.
-    pub fn extract<'a>(dacs: impl Iterator<Item = &'a Dac>) -> Option<Self> {
+    pub fn extract<'a>(dacs: impl Iterator<Item = &'a Dac>) -> Self {
         let ds: Vec<&Dac> = dacs.collect();
-        let noise = WhiteLanes::extract(ds.iter().map(|d| &d.noise))?;
+        let noise = WhiteLanes::extract(ds.iter().map(|d| &d.noise));
         let n = ds.len();
         let mut lanes = Self {
             half: Vec::with_capacity(n),
@@ -237,7 +241,7 @@ impl DacLanes {
             lanes.held.push(d.held.0);
             lanes.updates.push(d.updates);
         }
-        Some(lanes)
+        lanes
     }
 
     /// Writes held outputs, update counters, and noise state back.
@@ -404,7 +408,7 @@ mod tests {
                 })
             })
             .collect();
-        let mut lanes = DacLanes::extract(scalars.iter()).expect("uniform phase");
+        let mut lanes = DacLanes::extract(scalars.iter());
         let mut reference = scalars.clone();
         let mut raw = vec![0i32; 5];
         let mut out = vec![0.0; 5];

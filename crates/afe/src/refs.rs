@@ -6,7 +6,7 @@
 //! digital filter corner, so both are modelled with first-order temperature
 //! coefficients plus noise.
 
-use ascp_sim::noise::WhiteNoise;
+use ascp_sim::noise::{DrawCount, WhiteNoise};
 use ascp_sim::snapshot::{SnapshotError, StateReader, StateWriter};
 use ascp_sim::units::{Celsius, Hertz, Volts};
 
@@ -80,6 +80,12 @@ impl VoltageReference {
     pub fn output(&mut self) -> Volts {
         let drift = 1.0 + self.tempco * (self.temperature.0 - 25.0);
         Volts(self.nominal.0 * drift * (1.0 - self.droop) + self.noise.sample())
+    }
+
+    /// Gaussian draws taken by this component's noise sources.
+    #[must_use]
+    pub fn noise_draws(&self) -> DrawCount {
+        self.noise.draw_count()
     }
 
     /// Serializes temperature, injected droop, and the noise generator.

@@ -4,7 +4,7 @@
 //! MEMS resonator modes, AFE converter and reference registers, every DSP
 //! IP's delay lines and integrators, the 8051 core with its SFR/XRAM and
 //! peripherals, the JTAG chain, the safety-supervisor FSM, the
-//! fault-plan cursor and all noise-generator RNG streams — in a compact,
+//! fault-plan cursor, and every noise stream and RNG state — in a compact,
 //! self-describing binary format. Restoring a checkpoint onto a platform
 //! built from the same [`PlatformConfig`] is **bit-exact**: stepping the
 //! restored platform produces byte-identical traces to stepping the
@@ -16,7 +16,7 @@
 //! offset  size  field
 //! ------  ----  -----------------------------------------------
 //!      0     8  magic  b"ASCPCKPT"
-//!      8     4  format version (little-endian u32, currently 1)
+//!      8     4  format version (little-endian u32, currently 2)
 //!     12     8  config digest (FNV-1a 64 over canonical config)
 //!     20     …  platform state: tagged, length-prefixed sections
 //! ```
@@ -71,7 +71,11 @@ pub const MAGIC: [u8; 8] = *b"ASCPCKPT";
 /// Current checkpoint format version. Bumped whenever any component's
 /// section layout changes; old files are rejected with
 /// [`CheckpointError::UnsupportedVersion`] rather than misinterpreted.
-pub const FORMAT_VERSION: u32 = 1;
+///
+/// Version 2: every noise source saves its counter-keyed stream state
+/// `(sigma, key, draw index)` instead of a PRNG state plus a cached
+/// Box–Muller half-sample.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Header length in bytes (magic + version + config digest).
 pub const HEADER_LEN: usize = 8 + 4 + 8;
@@ -402,15 +406,19 @@ mod tests {
     fn unsupported_version_rejected() {
         let config = quiet_config(3);
         let platform = Platform::new(config.clone());
-        let mut bytes = save(&platform);
-        bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
-        assert!(matches!(
-            restore(config, &bytes),
-            Err(CheckpointError::UnsupportedVersion {
-                found: 99,
-                supported: FORMAT_VERSION
-            })
-        ));
+        // Version 1 stored Box–Muller PRNG state; its noise bytes would be
+        // misread as stream keys and draw indices.
+        for version in [1u32, 99] {
+            let mut bytes = save(&platform);
+            bytes[8..12].copy_from_slice(&version.to_le_bytes());
+            assert!(matches!(
+                restore(config.clone(), &bytes),
+                Err(CheckpointError::UnsupportedVersion {
+                    found,
+                    supported: 2
+                }) if found == version
+            ));
+        }
     }
 
     #[test]

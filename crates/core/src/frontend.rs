@@ -55,6 +55,7 @@ use ascp_mems::frontend::{
     Excitation, NodeObservation, PlausibilityBands, SensorFrontEnd, WireFault, WireStatus,
 };
 use ascp_sim::fault::{FaultEdge, FaultKind, FaultPlan};
+use ascp_sim::noise::DrawCount;
 use ascp_sim::snapshot::{fnv1a64, SnapshotError, StateReader, StateWriter};
 use ascp_sim::stats;
 use ascp_sim::units::{Celsius, Volts};
@@ -528,6 +529,17 @@ impl SensorChannel {
     /// Mean of `n` decimated outputs, engineering units.
     pub fn read(&mut self, n: usize) -> f64 {
         stats::mean(&self.collect(n))
+    }
+
+    /// Gaussian draws taken so far by the channel's noise sources
+    /// (front-end, excitation, PGA, signal and monitor ADCs).
+    #[must_use]
+    pub fn noise_draws(&self) -> DrawCount {
+        self.frontend.noise_draws()
+            + self.excitation.noise_draws()
+            + self.pga.noise_draws()
+            + self.adc.noise_draws()
+            + self.monitor_adc.noise_draws()
     }
 
     /// Serializes the complete channel state (front-end, excitation, PGA,

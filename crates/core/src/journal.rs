@@ -55,7 +55,14 @@ use std::sync::{Mutex, PoisonError};
 pub const MAGIC: [u8; 8] = *b"ASCPJRNL";
 
 /// Format version this build writes and reads.
-pub const FORMAT_VERSION: u32 = 1;
+///
+/// Bumped when the recorded outcomes stop being reproducible by this
+/// build even though the campaign digest is unchanged. Version 2: the
+/// counter-keyed noise streams changed every seeded outcome, so a
+/// version-1 journal's rows would merge old-stream results with
+/// new-stream ones; it is refused with
+/// [`JournalError::UnsupportedVersion`] instead.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Header length: magic + version + campaign digest.
 pub const HEADER_LEN: usize = 8 + 4 + 8;

@@ -31,6 +31,7 @@ use ascp_mcu8051::cpu::Cpu;
 use ascp_mcu8051::periph::SystemBus;
 use ascp_mems::gyro::GyroLanes;
 use ascp_sim::fault::{AdcChannel, FaultEdge, FaultKind, FaultPlan};
+use ascp_sim::noise::DrawCount;
 use ascp_sim::snapshot::{SnapshotError, StateReader, StateWriter};
 use ascp_sim::telemetry::trace::{SpanId, TraceRecorder};
 use ascp_sim::telemetry::{
@@ -1588,6 +1589,24 @@ impl Platform {
         &self.telemetry
     }
 
+    /// Gaussian draws taken so far by every noise source of the analog
+    /// path (gyro, charge amplifiers, PGAs, ADCs, DACs, reference): a
+    /// deterministic work counter for the noise layer.
+    #[must_use]
+    pub fn noise_draws(&self) -> DrawCount {
+        self.gyro.noise_draws()
+            + self.charge_pri.noise_draws()
+            + self.charge_sec.noise_draws()
+            + self.pga_pri.noise_draws()
+            + self.pga_sec.noise_draws()
+            + self.adc_pri.noise_draws()
+            + self.adc_sec.noise_draws()
+            + self.drive_dac.noise_draws()
+            + self.rebalance_dac.noise_draws()
+            + self.rate_dac.noise_draws()
+            + self.vref.noise_draws()
+    }
+
     /// Mutable telemetry access (reset between experiment phases).
     pub fn telemetry_mut(&mut self) -> &mut Telemetry {
         &mut self.telemetry
@@ -2096,23 +2115,20 @@ fn adc_lanes(platforms: &[Platform]) -> impl Iterator<Item = &SarAdc> {
 
 impl FleetKernels {
     /// Extracts every kernel; `Err` names the first component whose lanes
-    /// are not extractable (mixed noise phase, non-uniform decimator
-    /// state). Fusion makes the phase-uniformity requirement span the
-    /// primary *and* secondary populations (and all three DACs); platforms
-    /// stepped from construction always satisfy it.
+    /// are not extractable (non-uniform flicker counters or decimator
+    /// state). Fusion makes the uniformity requirement span the primary
+    /// *and* secondary populations; platforms stepped from construction
+    /// always satisfy it.
     fn extract(p: &[Platform], sub_dt: f64, dsp_dt: f64) -> Result<Self, &'static str> {
         Ok(Self {
-            gyro: GyroLanes::extract(p.iter().map(|p| &p.gyro), sub_dt)
-                .ok_or("gyro noise lanes not phase-uniform")?,
-            charge: ChargeLanes::extract(fused(p, |p| [&p.charge_pri, &p.charge_sec]))
-                .ok_or("charge-amp lanes not phase-uniform")?,
+            gyro: GyroLanes::extract(p.iter().map(|p| &p.gyro), sub_dt),
+            charge: ChargeLanes::extract(fused(p, |p| [&p.charge_pri, &p.charge_sec])),
             aaf: AafLanes::extract(fused(p, |p| [&p.aaf_pri, &p.aaf_sec])),
             pga: PgaLanes::extract(fused(p, |p| [&p.pga_pri, &p.pga_sec]), dsp_dt)
-                .ok_or("PGA lanes not phase-uniform")?,
+                .ok_or("PGA flicker counters not uniform")?,
             demod: DemodLanes::extract(p.iter().map(|p| p.chain.demod()))
                 .ok_or("demodulator lanes not decimation-uniform")?,
-            dac: DacLanes::extract(fused(p, |p| [&p.drive_dac, &p.rebalance_dac, &p.rate_dac]))
-                .ok_or("DAC lanes not phase-uniform")?,
+            dac: DacLanes::extract(fused(p, |p| [&p.drive_dac, &p.rebalance_dac, &p.rate_dac])),
         })
     }
 
@@ -2217,8 +2233,7 @@ impl PlatformFleet {
         let (monitor_countdown, tick) = (p0.monitor_countdown, p0.tick);
         let dsp_rate = p0.config.dsp_rate.0;
         let kernels = FleetKernels::extract(&platforms, sub_dt, dsp_dt).and_then(|k| {
-            let adc = AdcLanes::extract(adc_lanes(&platforms))
-                .ok_or("ADC lanes faulted or not phase-uniform")?;
+            let adc = AdcLanes::extract(adc_lanes(&platforms)).ok_or("ADC lanes faulted")?;
             Ok((k, adc))
         });
         let (k, adc) = match kernels {
@@ -2473,10 +2488,10 @@ impl PlatformFleet {
     /// a new resolution ([`AdcLanes::refresh`]).
     fn resync_after_service(&mut self) {
         self.k = FleetKernels::extract(&self.platforms, self.sub_dt, self.dsp_dt)
-            .expect("lockstep lanes stay phase- and decimation-uniform");
+            .expect("lockstep lanes stay counter- and decimation-uniform");
         if !self.adc.refresh(adc_lanes(&self.platforms)) {
             self.adc = AdcLanes::extract(adc_lanes(&self.platforms))
-                .expect("fleet-run ADCs stay fault-free and phase-uniform");
+                .expect("fleet-run ADCs stay fault-free");
         }
         self.monitor_countdown = self.platforms[0].monitor_countdown;
         self.tick = self.platforms[0].tick;

@@ -137,6 +137,37 @@ fn config_digest_mismatch_is_a_typed_error() {
     std::fs::remove_file(&path).ok();
 }
 
+/// A journal written before the counter-keyed noise streams (format
+/// version 1) holds rows this build cannot reproduce under the same
+/// campaign digest: resuming it is refused with `UnsupportedVersion`, no
+/// report (hence no CSV) is produced, and the file is left untouched.
+#[test]
+fn version_1_journal_is_refused() {
+    let path = scratch("version1.journal");
+    runner(2)
+        .run_with_journal(scenario_list(), &path)
+        .expect("journaled run");
+    let mut bytes = std::fs::read(&path).expect("journal bytes");
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    std::fs::write(&path, &bytes).expect("write version-1 journal");
+    let err = CampaignRunner::new()
+        .resume(scenario_list(), &path)
+        .expect_err("an old-stream journal must not merge");
+    assert!(
+        matches!(
+            err,
+            JournalError::UnsupportedVersion {
+                found: 1,
+                supported: 2
+            }
+        ),
+        "{err:?}"
+    );
+    assert_eq!(journal::FORMAT_VERSION, 2);
+    assert_eq!(std::fs::read(&path).expect("journal bytes"), bytes);
+    std::fs::remove_file(&path).ok();
+}
+
 /// A non-journal file is rejected as `BadMagic`.
 #[test]
 fn non_journal_file_is_rejected() {

@@ -18,7 +18,7 @@
 
 use crate::frontend::{Conditioning, Excitation, PlausibilityBands, SensorFrontEnd};
 use crate::resonator::Resonator;
-use ascp_sim::noise::WhiteNoise;
+use ascp_sim::noise::{DrawCount, WhiteNoise};
 use ascp_sim::snapshot::{fnv1a64, SnapshotError, StateReader, StateWriter};
 use ascp_sim::units::{Celsius, Volts};
 
@@ -154,6 +154,10 @@ impl SensorFrontEnd for CapacitiveAccelFrontEnd {
         self.proof_mass.step(force, dt);
         let ratio = PILOT_RATIO + self.proof_mass.state().x / self.gap_m;
         Volts(excitation.0 * ratio)
+    }
+
+    fn noise_draws(&self) -> DrawCount {
+        self.noise.draw_count()
     }
 
     fn save_state(&self, w: &mut StateWriter) {

@@ -83,6 +83,7 @@
 //! assert!(v.0 > 0.75);
 //! ```
 
+use ascp_sim::noise::DrawCount;
 use ascp_sim::snapshot::{SnapshotError, StateReader, StateWriter};
 use ascp_sim::units::{Celsius, Volts};
 
@@ -438,6 +439,12 @@ pub trait SensorFrontEnd {
                 Excitation::Carrier { .. } => Volts(-healthy.0),
             },
         }
+    }
+
+    /// Gaussian draws taken by the front-end's noise generators (a work
+    /// counter). Front-ends without noise generators keep the default.
+    fn noise_draws(&self) -> DrawCount {
+        DrawCount::default()
     }
 
     /// Serializes the front-end's dynamic state (stimulus, internal

@@ -13,7 +13,7 @@
 //! differential output voltage with noise and temperature effects.
 
 use crate::frontend::{Conditioning, Excitation, PlausibilityBands, SensorFrontEnd};
-use ascp_sim::noise::WhiteNoise;
+use ascp_sim::noise::{DrawCount, WhiteNoise};
 use ascp_sim::snapshot::{fnv1a64, SnapshotError, StateReader, StateWriter};
 use ascp_sim::units::{Celsius, Volts};
 
@@ -114,6 +114,10 @@ impl SensorFrontEnd for CapacitivePressureSensor {
         let ratio = dcap / (2.0 + dcap);
         let drift = self.temp_coeff * (self.temperature.0 - 25.0);
         Volts(excitation.0 * (ratio + drift) + self.noise.sample())
+    }
+
+    fn noise_draws(&self) -> DrawCount {
+        self.noise.draw_count()
     }
 
     fn save_state(&self, w: &mut StateWriter) {
@@ -225,6 +229,10 @@ impl SensorFrontEnd for InductivePositionSensor {
         // 2 % cubic compression near the stroke ends.
         let ratio = self.sensitivity * self.position_mm * (1.0 - 0.02 * u * u);
         Volts(excitation.0 * ratio + self.noise.sample())
+    }
+
+    fn noise_draws(&self) -> DrawCount {
+        self.noise.draw_count()
     }
 
     fn save_state(&self, w: &mut StateWriter) {

@@ -22,7 +22,7 @@
 //! the Coriolis term, which is in phase with velocity).
 
 use crate::resonator::{Resonator, ResonatorLanes};
-use ascp_sim::noise::{WhiteLanes, WhiteNoise};
+use ascp_sim::noise::{DrawCount, WhiteLanes, WhiteNoise};
 use ascp_sim::snapshot::{SnapshotError, StateReader, StateWriter};
 use ascp_sim::units::{Celsius, DegPerSec, Hertz};
 
@@ -307,6 +307,12 @@ impl RingGyro {
         self.sense_mode.reset();
     }
 
+    /// Gaussian draws taken by this component's noise sources.
+    #[must_use]
+    pub fn noise_draws(&self) -> DrawCount {
+        self.drive_noise.draw_count() + self.sense_noise.draw_count()
+    }
+
     /// Serializes the mechanical state: both mode resonators, the applied
     /// stimulus (temperature, rate), the Brownian-noise generators, and the
     /// temperature-derived quadrature coupling. The per-`dt` noise sigmas
@@ -347,9 +353,7 @@ impl RingGyro {
 /// couplings) may differ — Monte-Carlo dispersion lives here — but every
 /// lane executes the *same expressions* as [`RingGyro::step`] in the same
 /// order, so each lane's trajectory is bit-identical to stepping that gyro
-/// alone. Extraction fails (returns `None`) only if the noise generators
-/// are out of lockstep phase, which cannot happen for gyros stepped the
-/// same number of times.
+/// alone.
 #[derive(Debug, Clone)]
 pub struct GyroLanes {
     dt: f64,
@@ -379,15 +383,13 @@ pub struct GyroLanes {
 impl GyroLanes {
     /// Captures N gyros for lockstep stepping at solver step `dt`.
     ///
-    /// Returns `None` if the Brownian-noise generators are not phase-uniform
-    /// (see [`WhiteLanes::extract`]).
-    pub fn extract<'a>(gyros: impl Iterator<Item = &'a RingGyro>, dt: f64) -> Option<Self> {
+    pub fn extract<'a>(gyros: impl Iterator<Item = &'a RingGyro>, dt: f64) -> Self {
         let gs: Vec<&RingGyro> = gyros.collect();
         let noise = WhiteLanes::extract(
             gs.iter()
                 .map(|g| &g.drive_noise)
                 .chain(gs.iter().map(|g| &g.sense_noise)),
-        )?;
+        );
         let n = gs.len();
         let mut lanes = Self {
             dt,
@@ -418,7 +420,7 @@ impl GyroLanes {
             lanes.sigma_s.push(sigma_s);
             lanes.sigma_d.push(0.01 * sigma_s);
         }
-        Some(lanes)
+        lanes
     }
 
     /// Writes lane state back into the gyros; the per-`dt` sigma caches are
@@ -650,7 +652,7 @@ mod tests {
                 })
                 .collect();
             let mut reference = scalars.clone();
-            let mut lanes = GyroLanes::extract(scalars.iter(), DT).expect("uniform phase");
+            let mut lanes = GyroLanes::extract(scalars.iter(), DT);
             assert_eq!(lanes.lanes(), n);
 
             let mut drive = vec![0.0; n];

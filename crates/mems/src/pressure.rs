@@ -21,7 +21,7 @@
 //! them with the same PGA/ADC/decimator portfolio as every other sensor.
 
 use crate::frontend::{Conditioning, Excitation, PlausibilityBands, SensorFrontEnd};
-use ascp_sim::noise::WhiteNoise;
+use ascp_sim::noise::{DrawCount, WhiteNoise};
 use ascp_sim::snapshot::{fnv1a64, SnapshotError, StateReader, StateWriter};
 use ascp_sim::units::{Celsius, Volts};
 
@@ -123,6 +123,10 @@ impl SensorFrontEnd for MapSensorFrontEnd {
         // The transmitter is ratiometric: its output scales with the
         // actual (possibly drooped) excitation, not the nominal rail.
         Volts(excitation.0 * ratio + self.noise.sample())
+    }
+
+    fn noise_draws(&self) -> DrawCount {
+        self.noise.draw_count()
     }
 
     fn save_state(&self, w: &mut StateWriter) {
@@ -280,6 +284,10 @@ impl SensorFrontEnd for IatThermistorFrontEnd {
     fn sense(&mut self, excitation: Volts, _dt: f64) -> Volts {
         let ratio = self.divider_ratio(self.measured);
         Volts(excitation.0 * ratio + self.noise.sample())
+    }
+
+    fn noise_draws(&self) -> DrawCount {
+        self.noise.draw_count()
     }
 
     fn save_state(&self, w: &mut StateWriter) {

@@ -11,26 +11,34 @@
 //! reproducible — the simulation-kernel equivalent of a logged bench
 //! measurement. Every source exposes `save_state`/`load_state` over the
 //! [`crate::snapshot`] primitives so the platform checkpoint can capture
-//! RNG streams bit-exactly mid-run.
+//! noise streams bit-exactly mid-run.
 //!
-//! Gaussian draws dominate a platform tick, so [`WhiteNoise`] (and through
-//! it [`PinkNoise`] and [`RandomWalk`]) computes its Box–Muller pairs a
-//! small block at a time with the batched [`crate::mathx`] transform. The
-//! block is an implementation detail: the draws, the checkpoint bytes and
-//! the lockstep [`WhiteLanes`]/[`PinkLanes`] mirrors all follow the
-//! pair-by-pair definition documented on [`WhiteNoise`].
+//! Every Gaussian draw comes from one stateless sampler, `normal`: draw
+//! `n` of a stream is a pure function of the stream's key and `n`. Its
+//! uniform words are a keyed SplitMix-style mix of (key, draw index,
+//! attempt index) — a counter-based generator in the sense of Salmon et
+//! al., "Parallel random numbers: as easy as 1, 2, 3" (SC'11) — and a
+//! 256-layer ziggurat (Marsaglia & Tsang, "The Ziggurat Method for
+//! Generating Random Variables", J. Stat. Softw. 2000) turns them into
+//! normals using only the IEEE-exact kernels of [`crate::mathx`]. A
+//! [`WhiteNoise`] is therefore three numbers, `(sigma, key, draws)`, and
+//! the lockstep [`WhiteLanes`] mirror calls the same function per lane, so
+//! scalar and lane draws agree bit for bit by construction.
+
+use std::sync::LazyLock;
 
 use crate::mathx;
 use crate::snapshot::{SnapshotError, StateReader, StateWriter};
 
 /// Minimal deterministic PRNG: xorshift64* with a SplitMix64-scrambled
-/// seed.
+/// seed, for the simulator's non-Gaussian draws (fault-schedule jitter,
+/// bit-error injection, workload generation). Gaussian noise uses
+/// [`WhiteNoise`].
 ///
 /// Vendored so the simulation kernel has no external dependencies (the
-/// build must work with no registry access). The statistical quality is
-/// more than sufficient for noise synthesis: xorshift64* passes the usual
-/// empirical batteries except for the lowest bit, and all consumers here
-/// use the high 53 bits via [`Rng64::next_f64`].
+/// build must work with no registry access). xorshift64* passes the usual
+/// empirical batteries except for the lowest bit, and
+/// [`Rng64::next_f64`] uses the high 53 bits.
 ///
 /// # Example
 ///
@@ -51,25 +59,27 @@ impl Rng64 {
     /// Creates a generator from any 64-bit seed (zero included).
     #[must_use]
     pub fn new(seed: u64) -> Self {
-        // SplitMix64 finalizer: decorrelates sequential/sparse seeds and
-        // maps 0 to a non-zero xorshift state.
-        let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
+        // Decorrelates sequential/sparse seeds; a zero xorshift state is
+        // absorbing, so it is remapped.
+        let z = mix64(seed.wrapping_add(DRAW_STEP));
         Self {
-            state: if z == 0 { 0x9e37_79b9_7f4a_7c15 } else { z },
+            state: if z == 0 { DRAW_STEP } else { z },
         }
     }
 
     /// Next raw 64-bit output (xorshift64*).
     pub fn next_u64(&mut self) -> u64 {
-        xorshift_next(&mut self.state)
+        let mut x = self.state;
+        x ^= x >> 12;
+        x ^= x << 25;
+        x ^= x >> 27;
+        self.state = x;
+        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
     }
 
     /// Uniform sample in `[0, 1)` from the top 53 bits.
     pub fn next_f64(&mut self) -> f64 {
-        uniform_53(self.next_u64())
+        unit(self.next_u64())
     }
 
     /// Uniform sample in `[lo, hi)`.
@@ -105,62 +115,186 @@ impl Rng64 {
     }
 }
 
-/// One xorshift64* advance on a raw state word — the single source of
-/// truth for the sequence, shared by [`Rng64`] and the batched
-/// [`WhiteLanes`] path so both walks are bit-identical.
+/// SplitMix64's output finalizer: a bijection of `u64` with full
+/// avalanche.
 #[inline(always)]
-fn xorshift_next(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x >> 12;
-    x ^= x << 25;
-    x ^= x >> 27;
-    *state = x;
-    x.wrapping_mul(0x2545_f491_4f6c_dd1d)
+fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
-/// Maps a raw output word to a uniform in `[0, 1)` via the top 53 bits.
-#[inline(always)]
-fn uniform_53(word: u64) -> f64 {
-    (word >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+/// Counter step per draw index (SplitMix64's golden-ratio increment).
+const DRAW_STEP: u64 = 0x9e37_79b9_7f4a_7c15;
+/// Counter step per attempt within one draw (a second odd constant).
+const ATTEMPT_STEP: u64 = 0xd1b5_4a32_d192_ed03;
+/// Separates noise keys from [`Rng64`] states built from the same seed.
+const KEY_SALT: u64 = 0x6a09_e667_f3bc_c909;
+
+/// The stream key of a seed.
+#[inline]
+fn stream_key(seed: u64) -> u64 {
+    mix64(seed ^ KEY_SALT)
 }
 
-/// [`uniform_53`] rewritten without the `u64 → f64` cast, which has no
-/// AVX2 instruction and scalarizes any loop containing it. The 53-bit
-/// integer is split into 32-bit halves, each planted in a double's
-/// mantissa field, and recombined with adds that are provably exact
-/// (every intermediate is an integer below 2^53, hence representable) —
-/// so the result is bit-identical to the cast, but the loop vectorizes.
+/// Uniform word `attempt` of draw `draw` in stream `key`.
+///
+/// The key is xored into the draw counter, not added to it: with
+/// SplitMix64's additive stepping, keys `k` and `k + j·DRAW_STEP` would be
+/// one stream `j` draws apart, while `(d·DRAW_STEP) ^ k` has no such
+/// shift between any two keys.
 #[inline(always)]
-fn uniform_53_split(word: u64) -> f64 {
-    // 2^84 + 2^52: the exponent offsets planted in the halves below.
-    const MAGIC: f64 = (1u128 << 84) as f64 + (1u64 << 52) as f64;
-    let u = word >> 11;
-    let hi = f64::from_bits((u >> 32) | (0x453u64 << 52)); // 2^84 + (u>>32)·2^32
-    let lo = f64::from_bits((u & 0xffff_ffff) | (0x433u64 << 52)); // 2^52 + (u & 2^32-1)
-    ((hi - MAGIC) + lo) * (1.0 / (1u64 << 53) as f64)
+fn word(key: u64, draw: u64, attempt: u64) -> u64 {
+    mix64((draw.wrapping_mul(DRAW_STEP) ^ key).wrapping_add(attempt.wrapping_mul(ATTEMPT_STEP)))
 }
 
-/// Box–Muller pairs a [`WhiteNoise`] generates per refill of its block.
-const BLOCK: usize = 16;
+/// The top 53 bits of `w` as a uniform in `[0, 1)`.
+#[inline(always)]
+fn unit(w: u64) -> f64 {
+    (w >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
 
-/// Gaussian white-noise source (Box–Muller over a seeded PRNG).
+/// The top 53 bits of `w` as a uniform in `(0, 1]` (safe for `ln`).
+#[inline(always)]
+fn unit_open(w: u64) -> f64 {
+    ((w >> 11) + 1) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
+/// Ziggurat layers (one word's low byte picks the layer).
+const LAYERS: usize = 256;
+/// Right edge of the base layer, where the tail starts (Marsaglia & Tsang
+/// 2000, 256-layer normal).
+const ZIGGURAT_R: f64 = 3.654_152_885_361_009;
+/// Area of every layer under the unnormalized density `e^{-x²/2}`.
+const ZIGGURAT_V: f64 = 4.928_673_233_99e-3;
+
+/// The ziggurat's layer tables, built once from [`mathx`] kernels.
+struct Ziggurat {
+    /// Layer right edges, decreasing: `x[0] = V / f(R)` is the base
+    /// layer's equivalent width (rectangle plus tail), `x[1] = R`,
+    /// `x[256] = 0`.
+    x: [f64; LAYERS + 1],
+    /// `f(x[i])`, the unnormalized density at each edge.
+    f: [f64; LAYERS + 1],
+}
+
+static ZIGGURAT: LazyLock<Ziggurat> = LazyLock::new(Ziggurat::build);
+
+/// The unnormalized standard normal density `e^{-x²/2}`.
+#[inline(always)]
+fn density(x: f64) -> f64 {
+    mathx::exp(-0.5 * x * x)
+}
+
+/// Sets the sign of a non-negative `x` from bit 8 of `w` (bits 0-7 pick
+/// the layer, bits 11-63 the uniform).
+#[inline(always)]
+fn with_sign(x: f64, w: u64) -> f64 {
+    f64::from_bits(x.to_bits() | (w & 0x100) << 55)
+}
+
+impl Ziggurat {
+    fn build() -> Self {
+        let mut x = [0.0; LAYERS + 1];
+        x[0] = ZIGGURAT_V / density(ZIGGURAT_R);
+        x[1] = ZIGGURAT_R;
+        for i in 1..LAYERS - 1 {
+            x[i + 1] = (-2.0 * mathx::ln(ZIGGURAT_V / x[i] + density(x[i]))).sqrt();
+        }
+        Self {
+            x,
+            f: x.map(density),
+        }
+    }
+
+    /// Draw `draw` of stream `key`. The fast path — a point inside a
+    /// layer's core rectangle, about 99 % of draws — costs one word, one
+    /// multiply and one compare.
+    #[inline(always)]
+    fn normal(&self, key: u64, draw: u64) -> f64 {
+        let w = word(key, draw, 0);
+        let i = (w & 0xff) as usize;
+        let x = unit(w) * self.x[i];
+        if x < self.x[i + 1] {
+            with_sign(x, w)
+        } else {
+            self.normal_slow(key, draw, w)
+        }
+    }
+
+    /// The wedge and tail paths, continuing the draw from its first word
+    /// `w` with attempt words 1, 2, ….
+    #[cold]
+    #[inline(never)]
+    fn normal_slow(&self, key: u64, draw: u64, mut w: u64) -> f64 {
+        let mut attempt = 1;
+        loop {
+            let i = (w & 0xff) as usize;
+            let x = unit(w) * self.x[i];
+            if x < self.x[i + 1] {
+                return with_sign(x, w);
+            }
+            if i == 0 {
+                // Marsaglia's tail beyond R.
+                loop {
+                    let t = -mathx::ln(unit_open(word(key, draw, attempt))) / ZIGGURAT_R;
+                    let e = -mathx::ln(unit_open(word(key, draw, attempt + 1)));
+                    attempt += 2;
+                    if e + e > t * t {
+                        return with_sign(ZIGGURAT_R + t, w);
+                    }
+                }
+            }
+            let y = self.f[i] + unit(word(key, draw, attempt)) * (self.f[i + 1] - self.f[i]);
+            if y < density(x) {
+                return with_sign(x, w);
+            }
+            w = word(key, draw, attempt + 1);
+            attempt += 2;
+        }
+    }
+}
+
+/// Unit normal draw `draw` of the stream keyed `key`: a pure function of
+/// its arguments, identical on every host (no libm, no dependence on
+/// SIMD or FMA hardware).
+#[inline]
+fn normal(key: u64, draw: u64) -> f64 {
+    ZIGGURAT.normal(key, draw)
+}
+
+/// Gaussian draws taken by a component's noise sources, by kind. A flicker
+/// draw is the one white draw inside a [`PinkNoise`] sample; it counts as
+/// `pink` only.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DrawCount {
+    /// Draws of plain [`WhiteNoise`] (and [`RandomWalk`]) sources.
+    pub white: u64,
+    /// Draws of [`PinkNoise`] sources.
+    pub pink: u64,
+}
+
+impl std::ops::Add for DrawCount {
+    type Output = Self;
+
+    fn add(self, rhs: Self) -> Self {
+        Self {
+            white: self.white + rhs.white,
+            pink: self.pink + rhs.pink,
+        }
+    }
+}
+
+/// Gaussian white-noise source.
 ///
 /// `sigma` is the standard deviation of each sample. For a band-limited
 /// process sampled at `fs`, a white density of `d` units/√Hz corresponds to
 /// `sigma = d * sqrt(fs / 2)`; use [`WhiteNoise::from_density`].
 ///
-/// The stream is defined pair by pair: draw `u1` (redrawn while it is
-/// zero) and `u2` from the PRNG, emit `r·cos θ`, then `r·sin θ`. The
-/// source computes those pairs a block at a time — it walks the PRNG for
-/// a fixed number of pairs, runs the batched [`mathx::box_muller_slice`]
-/// once, and serves the normals in draw order — so the `ln`/`sqrt`/`sincos`
-/// chains of neighbouring pairs overlap instead of serializing. A block is
-/// filled on the first draw after the previous one is spent, so
-/// construction draws nothing and a zero-`sigma` source never advances
-/// its PRNG. The bits are those of the pair-by-pair definition.
-/// Checkpoints and [`WhiteLanes`] extraction see only that definition's
-/// state (PRNG state plus an optional cached half-sample), never the
-/// block.
+/// Sample `n` is `sigma · normal(key, n)`, the module's counter-keyed
+/// ziggurat sampler, with the key a hash of the seed. The state is
+/// `(sigma, key, draws)`: construction draws nothing, and a zero-`sigma`
+/// source never advances.
 ///
 /// # Example
 ///
@@ -169,18 +303,14 @@ const BLOCK: usize = 16;
 /// let mut n = WhiteNoise::new(1.0, 42);
 /// let x = n.sample();
 /// assert!(x.is_finite());
+/// assert_eq!(n.draws(), 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct WhiteNoise {
     sigma: f64,
-    /// Walk head: the PRNG state after the last pair in `normals`.
-    rng: Rng64,
-    /// Unit normals of the current block in draw order (cos, sin, cos, …).
-    normals: [f64; 2 * BLOCK],
-    /// PRNG state before each pair of the block.
-    pair_start: [u64; BLOCK],
-    /// Next read index into `normals`; `2 * BLOCK` when the block is spent.
-    pos: usize,
+    key: u64,
+    /// Draws taken: the index of the next draw.
+    draws: u64,
 }
 
 impl WhiteNoise {
@@ -197,10 +327,8 @@ impl WhiteNoise {
         );
         Self {
             sigma,
-            rng: Rng64::new(seed),
-            normals: [0.0; 2 * BLOCK],
-            pair_start: [0; BLOCK],
-            pos: 2 * BLOCK,
+            key: stream_key(seed),
+            draws: 0,
         }
     }
 
@@ -222,116 +350,38 @@ impl WhiteNoise {
         self.sigma
     }
 
+    /// Draws taken so far — the stream's draw index (a zero-`sigma` source
+    /// stays at 0).
+    #[must_use]
+    pub fn draws(&self) -> u64 {
+        self.draws
+    }
+
+    /// [`WhiteNoise::draws`] as a [`DrawCount`].
+    #[must_use]
+    pub fn draw_count(&self) -> DrawCount {
+        DrawCount {
+            white: self.draws,
+            pink: 0,
+        }
+    }
+
     /// Draws the next Gaussian sample.
     #[inline]
     pub fn sample(&mut self) -> f64 {
         if self.sigma == 0.0 {
             return 0.0;
         }
-        if self.pos >= 2 * BLOCK {
-            self.refill();
-            self.pos = 0;
-        }
-        let z = self.normals[self.pos];
-        self.pos += 1;
+        let z = normal(self.key, self.draws);
+        self.draws += 1;
         z * self.sigma
     }
 
-    /// Computes the next `BLOCK` Box–Muller pairs into `normals`.
-    #[inline(never)]
-    fn refill(&mut self) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                // SAFETY: guarded by the runtime AVX2 check above.
-                unsafe { self.refill_avx2() };
-                return;
-            }
-        }
-        self.refill_block();
-    }
-
-    /// The refill body. The PRNG walk is one serial chain; the uniform
-    /// conversion and the transform are independent per pair and batch.
-    #[inline(always)]
-    fn refill_block(&mut self) {
-        let mut w1 = [0u64; BLOCK];
-        let mut w2 = [0u64; BLOCK];
-        let mut state = self.rng.state;
-        for k in 0..BLOCK {
-            self.pair_start[k] = state;
-            let mut w = xorshift_next(&mut state);
-            // The pair definition redraws `u1` while it is zero, i.e.
-            // while the word's top 53 bits are.
-            while w >> 11 == 0 {
-                w = xorshift_next(&mut state);
-            }
-            w1[k] = w;
-            w2[k] = xorshift_next(&mut state);
-        }
-        self.rng.state = state;
-        let u1 = w1.map(uniform_53_split);
-        let u2 = w2.map(uniform_53_split);
-        let mut z_cos = [0.0; BLOCK];
-        let mut z_sin = [0.0; BLOCK];
-        mathx::box_muller_slice(&u1, &u2, &mut z_cos, &mut z_sin);
-        for (pair, (&zc, &zs)) in self
-            .normals
-            .chunks_exact_mut(2)
-            .zip(z_cos.iter().zip(&z_sin))
-        {
-            pair[0] = zc;
-            pair[1] = zs;
-        }
-    }
-
-    /// AVX2 copy of the refill (integer and IEEE float ops give the same
-    /// bits at any width).
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX2.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn refill_avx2(&mut self) {
-        self.refill_block();
-    }
-
-    /// The pair-by-pair sampler's state at the read position: the PRNG
-    /// state before the next pair, and the pending sin half-sample when
-    /// the read position is mid-pair.
-    fn logical_state(&self) -> (u64, Option<f64>) {
-        let pair = self.pos / 2;
-        if self.pos >= 2 * BLOCK {
-            (self.rng.state, None)
-        } else if self.pos.is_multiple_of(2) {
-            (self.pair_start[pair], None)
-        } else {
-            let after = self.pair_start.get(pair + 1).copied();
-            (
-                after.unwrap_or(self.rng.state),
-                Some(self.normals[self.pos]),
-            )
-        }
-    }
-
-    /// Inverse of [`WhiteNoise::logical_state`]: a pending half-sample
-    /// becomes the last entry of an otherwise spent block.
-    fn set_logical_state(&mut self, state: u64, cached: Option<f64>) {
-        self.rng.state = state;
-        self.pos = 2 * BLOCK;
-        if let Some(z) = cached {
-            self.pos -= 1;
-            self.normals[self.pos] = z;
-        }
-    }
-
-    /// Serializes sigma, the PRNG, and the cached Box–Muller half-sample.
+    /// Serializes sigma, the stream key and the draw index.
     pub fn save_state(&self, w: &mut StateWriter) {
-        let (state, cached) = self.logical_state();
         w.put_f64(self.sigma);
-        Rng64 { state }.save_state(w);
-        w.put_opt_f64(cached);
+        w.put_u64(self.key);
+        w.put_u64(self.draws);
     }
 
     /// Restores the full source state (bit-exact continuation).
@@ -341,9 +391,8 @@ impl WhiteNoise {
     /// Propagates [`SnapshotError`] on malformed input.
     pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
         self.sigma = r.take_f64()?;
-        self.rng.load_state(r)?;
-        let cached = r.take_opt_f64()?;
-        self.set_logical_state(self.rng.state, cached);
+        self.key = r.take_u64()?;
+        self.draws = r.take_u64()?;
         Ok(())
     }
 }
@@ -377,6 +426,15 @@ impl PinkNoise {
             counter: 0,
             // The sum of `rows` unit-variance rows has variance `rows`.
             scale: sigma / n.sqrt(),
+        }
+    }
+
+    /// Draws taken by the inner white source, as flicker draws.
+    #[must_use]
+    pub fn draw_count(&self) -> DrawCount {
+        DrawCount {
+            white: 0,
+            pink: self.white.draws,
         }
     }
 
@@ -419,158 +477,51 @@ impl PinkNoise {
     }
 }
 
-/// Structure-of-arrays mirror of N [`WhiteNoise`] sources stepping in
-/// lockstep — the fleet execution path.
+/// Lockstep mirror of N [`WhiteNoise`] sources — the fleet execution
+/// path.
 ///
-/// Extraction captures each lane's PRNG walk, Box–Muller cache and sigma;
-/// [`WhiteLanes::sample`] then advances every lane by exactly one draw,
-/// with the expensive `ln`/`sincos`/`sqrt` work batched over contiguous
-/// arrays (see [`crate::mathx`]) so it auto-vectorizes. Per-lane outputs
-/// are bit-identical to calling [`WhiteNoise::sample`] on each source —
-/// the property the fleet's byte-identical-CSV contract rests on.
-///
-/// Lockstep requires a *uniform* lane population: every lane on the same
-/// Box–Muller phase, and sigmas either all zero or all nonzero (a
-/// zero-sigma source never advances its PRNG). [`WhiteLanes::extract`]
-/// returns `None` when the population is mixed; callers fall back to
-/// scalar sampling.
+/// Each lane is a copy of its source's `(sigma, key, draws)`, and
+/// [`WhiteLanes::sample`] advances every lane by one draw through the same
+/// `normal` function, so per-lane outputs are bit-identical to calling
+/// [`WhiteNoise::sample`] on each source — the property the fleet's
+/// byte-identical-CSV contract rests on. Any population can be extracted:
+/// lanes at different draw indices or with zero `sigma` step
+/// independently.
 #[derive(Debug, Clone)]
 pub struct WhiteLanes {
-    sigma: Vec<f64>,
-    state: Vec<u64>,
-    cached: Vec<f64>,
-    has_cached: bool,
-    all_zero: bool,
-    // Scratch buffers for the batched transform.
-    u1: Vec<f64>,
-    u2: Vec<f64>,
-    z_cos: Vec<f64>,
-    z_sin: Vec<f64>,
+    lanes: Vec<WhiteNoise>,
 }
 
 impl WhiteLanes {
-    /// Captures a lane population from the given sources. Returns `None`
-    /// if the lanes cannot step in lockstep (mixed Box–Muller phase, or a
-    /// mix of zero and nonzero sigmas).
-    pub fn extract<'a>(sources: impl Iterator<Item = &'a WhiteNoise>) -> Option<Self> {
-        let mut sigma = Vec::new();
-        let mut state = Vec::new();
-        let mut cached = Vec::new();
-        let mut phase: Option<bool> = None;
-        for s in sources {
-            let (st, half) = s.logical_state();
-            match phase {
-                None => phase = Some(half.is_some()),
-                Some(p) if p != half.is_some() => return None,
-                Some(_) => {}
-            }
-            sigma.push(s.sigma);
-            state.push(st);
-            cached.push(half.unwrap_or(0.0));
+    /// Captures a lane population from the given sources.
+    pub fn extract<'a>(sources: impl Iterator<Item = &'a WhiteNoise>) -> Self {
+        Self {
+            lanes: sources.cloned().collect(),
         }
-        let n = sigma.len();
-        let zeros = sigma.iter().filter(|&&s| s == 0.0).count();
-        if zeros != 0 && zeros != n {
-            return None;
-        }
-        Some(Self {
-            sigma,
-            state,
-            cached,
-            has_cached: phase.unwrap_or(false),
-            all_zero: zeros == n && n > 0,
-            u1: vec![0.0; n],
-            u2: vec![0.0; n],
-            z_cos: vec![0.0; n],
-            z_sin: vec![0.0; n],
-        })
     }
 
     /// Writes the lane state back into the sources (same order and count
     /// as extraction).
     pub fn restore<'a>(&self, sources: impl Iterator<Item = &'a mut WhiteNoise>) {
-        for (l, s) in sources.enumerate() {
-            self.restore_lane(l, s);
+        for (lane, s) in self.lanes.iter().zip(sources) {
+            s.clone_from(lane);
         }
-    }
-
-    /// Writes lane `l`'s PRNG walk and cached half-sample into `source`.
-    fn restore_lane(&self, l: usize, source: &mut WhiteNoise) {
-        source.set_logical_state(self.state[l], self.has_cached.then_some(self.cached[l]));
     }
 
     /// Number of lanes.
     #[must_use]
     pub fn lanes(&self) -> usize {
-        self.sigma.len()
+        self.lanes.len()
     }
 
     /// Draws one sample per lane into `out` (`out.len()` must equal
     /// [`WhiteLanes::lanes`]). Bit-identical per lane to
     /// [`WhiteNoise::sample`].
     pub fn sample(&mut self, out: &mut [f64]) {
-        let n = self.state.len();
-        assert_eq!(out.len(), n, "lane count mismatch");
-        if self.all_zero {
-            out.fill(0.0);
-            return;
+        assert_eq!(out.len(), self.lanes.len(), "lane count mismatch");
+        for (o, lane) in out.iter_mut().zip(&mut self.lanes) {
+            *o = lane.sample();
         }
-        if self.has_cached {
-            self.has_cached = false;
-            for (o, (&z, &sg)) in out.iter_mut().zip(self.cached.iter().zip(&self.sigma)) {
-                *o = z * sg;
-            }
-            return;
-        }
-        #[cfg(target_arch = "x86_64")]
-        {
-            // AVX2 only — see `mathx::box_muller_slice` for why there is
-            // deliberately no AVX-512 tier.
-            if std::arch::is_x86_feature_detected!("avx2") {
-                // SAFETY: guarded by the runtime AVX2 check above.
-                unsafe { self.transform_avx2(out) };
-                return;
-            }
-        }
-        self.transform(out);
-    }
-
-    /// The Box–Muller tick: advance every lane's PRNG twice (u1 with
-    /// rejection, then u2), transform, emit cos and cache sin.
-    /// The rejection branch fires with probability 2^-53 — the repair
-    /// loop below keeps the per-lane sequence exactly equal to the
-    /// scalar path without blocking vectorization of the common case.
-    #[inline(always)]
-    fn transform(&mut self, out: &mut [f64]) {
-        let n = self.state.len();
-        for l in 0..n {
-            self.u1[l] = uniform_53_split(xorshift_next(&mut self.state[l]));
-        }
-        for l in 0..n {
-            while self.u1[l] == 0.0 {
-                self.u1[l] = uniform_53_split(xorshift_next(&mut self.state[l]));
-            }
-        }
-        for l in 0..n {
-            self.u2[l] = uniform_53_split(xorshift_next(&mut self.state[l]));
-        }
-        mathx::box_muller_slice(&self.u1, &self.u2, &mut self.z_cos, &mut self.z_sin);
-        for (o, (&zc, &sg)) in out.iter_mut().zip(self.z_cos.iter().zip(&self.sigma)) {
-            *o = zc * sg;
-        }
-        self.cached.copy_from_slice(&self.z_sin);
-        self.has_cached = true;
-    }
-
-    /// AVX2 copy of the transform: vectorizes the xorshift walk (64-bit
-    /// shifts, xors, and the constant multiply, which LLVM lowers through
-    /// `vpmuludq` pieces) and the split-add uniform conversion around the
-    /// already-dispatched Box–Muller batch. Integer and IEEE float ops
-    /// produce identical bits at any width.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn transform_avx2(&mut self, out: &mut [f64]) {
-        self.transform(out);
     }
 }
 
@@ -593,8 +544,7 @@ pub struct PinkLanes {
 
 impl PinkLanes {
     /// Captures a lane population. Returns `None` if the sources disagree
-    /// on row count or counter phase, or their inner white sources cannot
-    /// run in lockstep.
+    /// on row count or counter phase.
     pub fn extract<'a>(sources: impl Iterator<Item = &'a PinkNoise>) -> Option<Self> {
         let sources: Vec<&PinkNoise> = sources.collect();
         let first = sources.first()?;
@@ -606,7 +556,7 @@ impl PinkLanes {
         {
             return None;
         }
-        let white = WhiteLanes::extract(sources.iter().map(|s| &s.white))?;
+        let white = WhiteLanes::extract(sources.iter().map(|s| &s.white));
         let n = sources.len();
         let mut rows = vec![0.0; n_rows * n];
         for (l, s) in sources.iter().enumerate() {
@@ -625,7 +575,7 @@ impl PinkLanes {
     }
 
     /// Writes the lane state back into the sources (row ladder, counter,
-    /// and the inner white source's PRNG walk and cache).
+    /// and the inner white source).
     pub fn restore<'a>(&self, sources: impl Iterator<Item = &'a mut PinkNoise>) {
         let n = self.scale.len();
         for (l, s) in sources.enumerate() {
@@ -633,7 +583,7 @@ impl PinkLanes {
                 s.rows[r] = self.rows[r * n + l];
             }
             s.counter = self.counter;
-            self.white.restore_lane(l, &mut s.white);
+            s.white.clone_from(&self.white.lanes[l]);
         }
     }
 
@@ -755,18 +705,6 @@ mod tests {
     }
 
     #[test]
-    fn uniform_split_matches_cast_exactly() {
-        let mut state = 0x1234_5678_9abc_def0u64;
-        for _ in 0..100_000 {
-            let w = xorshift_next(&mut state);
-            assert_eq!(uniform_53(w).to_bits(), uniform_53_split(w).to_bits());
-        }
-        for w in [0u64, 1, 0x7ff, 0x800, u64::MAX, 1 << 63, (1 << 43) - 1] {
-            assert_eq!(uniform_53(w).to_bits(), uniform_53_split(w).to_bits());
-        }
-    }
-
-    #[test]
     fn rng64_distinct_seeds_diverge() {
         let mut a = Rng64::new(5);
         let mut b = Rng64::new(6);
@@ -805,6 +743,7 @@ mod tests {
     fn white_noise_zero_sigma_is_silent() {
         let mut n = WhiteNoise::new(0.0, 3);
         assert!((0..10).all(|_| n.sample() == 0.0));
+        assert_eq!(n.draws(), 0, "a silent source never advances");
     }
 
     #[test]
@@ -835,7 +774,7 @@ mod tests {
             let mut scalar: Vec<WhiteNoise> = (0..n)
                 .map(|l| WhiteNoise::new(0.5 + l as f64 * 0.1, 1000 + l as u64))
                 .collect();
-            let mut lanes = WhiteLanes::extract(scalar.iter()).expect("uniform population");
+            let mut lanes = WhiteLanes::extract(scalar.iter());
             let mut out = vec![0.0; n];
             for tick in 0..257 {
                 lanes.sample(&mut out);
@@ -860,23 +799,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn white_lanes_reject_mixed_phase_or_sigma() {
-        let mut a = WhiteNoise::new(1.0, 1);
-        let b = WhiteNoise::new(1.0, 2);
-        a.sample(); // a now holds a cached half-sample, b does not
-        assert!(WhiteLanes::extract([&a, &b].into_iter()).is_none());
-        let c = WhiteNoise::new(0.0, 3);
-        let d = WhiteNoise::new(1.0, 4);
-        assert!(WhiteLanes::extract([&c, &d].into_iter()).is_none());
-        // All-zero sigma is a valid (silent) population.
-        let e = WhiteNoise::new(0.0, 5);
-        let mut lanes = WhiteLanes::extract([&c, &e].into_iter()).expect("all-zero ok");
-        let mut out = vec![1.0; 2];
-        lanes.sample(&mut out);
-        assert_eq!(out, vec![0.0, 0.0]);
     }
 
     #[test]
@@ -909,141 +831,80 @@ mod tests {
         }
     }
 
-    /// The pair-by-pair sampler [`WhiteNoise`] computes in blocks, kept
-    /// as its oracle: one Box–Muller pair every second draw, the sin half
-    /// cached.
-    #[derive(Debug, Clone)]
-    struct PairSampler {
-        sigma: f64,
-        rng: Rng64,
-        cached: Option<f64>,
-        rejections: usize,
-    }
-
-    impl PairSampler {
-        fn new(sigma: f64, seed: u64) -> Self {
-            Self {
-                sigma,
-                rng: Rng64::new(seed),
-                cached: None,
-                rejections: 0,
-            }
-        }
-
-        fn sample(&mut self) -> f64 {
-            if self.sigma == 0.0 {
-                return 0.0;
-            }
-            if let Some(z) = self.cached.take() {
-                return z * self.sigma;
-            }
-            let u1: f64 = loop {
-                let u = self.rng.next_f64();
-                if u > 0.0 {
-                    break u;
-                }
-                self.rejections += 1;
-            };
-            let u2: f64 = self.rng.next_f64();
-            let (z_cos, z_sin) = mathx::box_muller(u1, u2);
-            self.cached = Some(z_sin);
-            z_cos * self.sigma
-        }
-
-        fn state_bytes(&self) -> Vec<u8> {
-            let mut w = StateWriter::new();
-            w.put_f64(self.sigma);
-            self.rng.save_state(&mut w);
-            w.put_opt_f64(self.cached);
-            w.into_bytes()
-        }
-    }
-
     fn state_bytes(n: &WhiteNoise) -> Vec<u8> {
         let mut w = StateWriter::new();
         n.save_state(&mut w);
         w.into_bytes()
     }
 
-    /// Draws from both samplers in step, checking every draw's bits and
-    /// the saved state after it.
-    fn assert_same_stream(block: &mut WhiteNoise, oracle: &mut PairSampler, draws: usize) {
-        for d in 0..draws {
-            let (a, b) = (block.sample(), oracle.sample());
-            assert_eq!(a.to_bits(), b.to_bits(), "draw {d}: {a} vs {b}");
-            assert_eq!(
-                state_bytes(block),
-                oracle.state_bytes(),
-                "state after draw {d}"
-            );
-        }
-    }
-
     #[test]
-    fn block_sampler_matches_pair_oracle() {
+    fn white_noise_is_sigma_times_normal_of_key_and_draw() {
         for seed in [0u64, 1, 7, 0xdead_beef, u64::MAX] {
-            for sigma in [1.0, 0.37, 0.0] {
-                let mut block = WhiteNoise::new(sigma, seed);
-                let mut oracle = PairSampler::new(sigma, seed);
-                // Offset 0 first, then every offset through three blocks:
-                // even, odd and block-boundary read positions.
-                assert_eq!(state_bytes(&block), oracle.state_bytes());
-                assert_same_stream(&mut block, &mut oracle, 3 * 2 * BLOCK + 1);
+            for sigma in [1.0, 0.37] {
+                let mut n = WhiteNoise::new(sigma, seed);
+                let key = stream_key(seed);
+                for d in 0..300 {
+                    let mut w = StateWriter::new();
+                    w.put_f64(sigma);
+                    w.put_u64(key);
+                    w.put_u64(d);
+                    assert_eq!(state_bytes(&n), w.into_bytes(), "state before draw {d}");
+                    let want = normal(key, d) * sigma;
+                    assert_eq!(n.sample().to_bits(), want.to_bits(), "draw {d}");
+                }
+                assert_eq!(n.draws(), 300);
             }
         }
     }
 
     #[test]
-    fn loading_a_cached_half_sample_continues_the_stream() {
-        let mut oracle = PairSampler::new(0.8, 41);
-        for _ in 0..2 * BLOCK + 5 {
-            oracle.sample();
+    fn loading_state_continues_the_stream() {
+        let mut a = WhiteNoise::new(0.8, 41);
+        for _ in 0..37 {
+            a.sample();
         }
-        let saved = oracle.state_bytes();
-        // The target is itself mid-block, on the other phase.
-        let mut block = WhiteNoise::new(3.0, 99);
+        let saved = state_bytes(&a);
+        // The target is a different stream at a different draw index.
+        let mut b = WhiteNoise::new(3.0, 99);
         for _ in 0..10 {
-            block.sample();
+            b.sample();
         }
-        block
-            .load_state(&mut StateReader::new(&saved))
+        b.load_state(&mut StateReader::new(&saved))
             .expect("valid state");
-        assert!(oracle.cached.is_some());
-        assert_eq!(state_bytes(&block), saved);
-        assert_same_stream(&mut block, &mut oracle, 3 * 2 * BLOCK);
+        assert_eq!(state_bytes(&b), saved);
+        for d in 0..100 {
+            assert_eq!(a.sample().to_bits(), b.sample().to_bits(), "draw {d}");
+        }
     }
 
     #[test]
-    fn lanes_extract_and_restore_through_mid_block_sources() {
-        for offsets in [
-            [1usize, 5, 2 * BLOCK - 1, 2 * BLOCK + 3],
-            [0, 6, 2 * BLOCK, 4 * BLOCK - 2],
-        ] {
-            let seeds = [11u64, 12, 13, 14];
-            let mut sources: Vec<WhiteNoise> =
-                seeds.iter().map(|&s| WhiteNoise::new(0.5, s)).collect();
-            let mut oracles: Vec<PairSampler> =
-                seeds.iter().map(|&s| PairSampler::new(0.5, s)).collect();
-            for ((src, oracle), &off) in sources.iter_mut().zip(&mut oracles).zip(&offsets) {
-                for _ in 0..off {
-                    src.sample();
-                    oracle.sample();
-                }
-            }
-            let mut lanes = WhiteLanes::extract(sources.iter()).expect("uniform phase");
-            let mut out = [0.0; 4];
-            for _ in 0..BLOCK + 3 {
-                lanes.sample(&mut out);
-                for (o, oracle) in out.iter().zip(&mut oracles) {
-                    assert_eq!(o.to_bits(), oracle.sample().to_bits());
-                }
-            }
-            lanes.restore(sources.iter_mut());
-            for (src, oracle) in sources.iter_mut().zip(&mut oracles) {
-                assert_same_stream(src, oracle, 3 * 2 * BLOCK);
+    fn lanes_extract_and_restore_any_population() {
+        // Mixed draw indices and a zero-sigma lane: every lane still
+        // follows its scalar twin.
+        let mut sources: Vec<WhiteNoise> = [(0.5, 11u64), (0.0, 12), (1.5, 13), (0.5, 14)]
+            .iter()
+            .map(|&(sigma, seed)| WhiteNoise::new(sigma, seed))
+            .collect();
+        for (src, off) in sources.iter_mut().zip([1usize, 5, 0, 40]) {
+            for _ in 0..off {
+                src.sample();
             }
         }
-        for off in [1usize, 5, 2 * BLOCK, 2 * BLOCK + 1] {
+        let mut twins = sources.clone();
+        let mut lanes = WhiteLanes::extract(sources.iter());
+        let mut out = [0.0; 4];
+        for _ in 0..50 {
+            lanes.sample(&mut out);
+            for (o, twin) in out.iter().zip(&mut twins) {
+                assert_eq!(o.to_bits(), twin.sample().to_bits());
+            }
+        }
+        lanes.restore(sources.iter_mut());
+        for (src, twin) in sources.iter_mut().zip(&twins) {
+            assert_eq!(state_bytes(src), state_bytes(twin));
+        }
+        assert_eq!(sources[1].draws(), 0, "the silent lane never advanced");
+        for off in [1usize, 5, 32, 33] {
             let mut sources: Vec<PinkNoise> =
                 (0..3).map(|l| PinkNoise::new(0.4, 12, 30 + l)).collect();
             for src in &mut sources {
@@ -1052,9 +913,9 @@ mod tests {
                 }
             }
             let mut twins = sources.clone();
-            let mut lanes = PinkLanes::extract(sources.iter()).expect("uniform phase");
+            let mut lanes = PinkLanes::extract(sources.iter()).expect("uniform counters");
             let mut out = [0.0; 3];
-            for _ in 0..BLOCK + 3 {
+            for _ in 0..19 {
                 lanes.sample(&mut out);
                 for (o, twin) in out.iter().zip(&mut twins) {
                     assert_eq!(o.to_bits(), twin.sample().to_bits());
@@ -1062,73 +923,225 @@ mod tests {
             }
             lanes.restore(sources.iter_mut());
             for (src, twin) in sources.iter_mut().zip(&mut twins) {
-                for _ in 0..3 * 2 * BLOCK {
+                assert_eq!(src.draw_count(), twin.draw_count());
+                for _ in 0..96 {
                     assert_eq!(src.sample().to_bits(), twin.sample().to_bits());
                 }
             }
         }
     }
 
-    /// Undoes `x ^= x >> shift`.
-    fn unshift_right(y: u64, shift: u32) -> u64 {
-        (1..)
-            .map(|j| j * shift)
-            .take_while(|&s| s < 64)
-            .fold(y, |x, s| x ^ (y >> s))
+    #[test]
+    fn pink_lanes_reject_mixed_counters() {
+        let mut a = PinkNoise::new(1.0, 12, 1);
+        let b = PinkNoise::new(1.0, 12, 2);
+        a.sample();
+        assert!(PinkLanes::extract([&a, &b].into_iter()).is_none());
     }
 
-    /// Undoes `x ^= x << shift`.
-    fn unshift_left(y: u64, shift: u32) -> u64 {
-        (1..)
-            .map(|j| j * shift)
-            .take_while(|&s| s < 64)
-            .fold(y, |x, s| x ^ (y << s))
+    /// Which path a reference draw took.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Path {
+        Core,
+        Wedge,
+        Tail,
     }
 
-    /// The xorshift state whose `(m + 1)`-th output word is `word`.
-    fn state_before_word(word: u64, m: usize) -> u64 {
-        // Inverse of the odd multiplier modulo 2^64 by Newton iteration.
-        const MUL: u64 = 0x2545_f491_4f6c_dd1d;
-        let mut inv = MUL;
-        for _ in 0..6 {
-            inv = inv.wrapping_mul(2u64.wrapping_sub(MUL.wrapping_mul(inv)));
+    /// The ziggurat written as one plain loop, word by word: the oracle
+    /// for `normal`'s split fast/slow implementation.
+    fn reference_normal(key: u64, draw: u64) -> (f64, Path) {
+        let z = &*ZIGGURAT;
+        let mut attempt = 0;
+        let mut next = || {
+            attempt += 1;
+            word(key, draw, attempt - 1)
+        };
+        loop {
+            let w = next();
+            let i = (w & 0xff) as usize;
+            let sign = if w & 0x100 == 0 { 1.0 } else { -1.0 };
+            let x = unit(w) * z.x[i];
+            if x < z.x[i + 1] {
+                return (sign * x, Path::Core);
+            }
+            if i == 0 {
+                loop {
+                    let t = -mathx::ln(unit_open(next())) / ZIGGURAT_R;
+                    let e = -mathx::ln(unit_open(next()));
+                    if 2.0 * e > t * t {
+                        return (sign * (ZIGGURAT_R + t), Path::Tail);
+                    }
+                }
+            }
+            let y = z.f[i] + unit(next()) * (z.f[i + 1] - z.f[i]);
+            if y < density(x) {
+                return (sign * x, Path::Wedge);
+            }
         }
-        assert_eq!(MUL.wrapping_mul(inv), 1);
-        let mut state = word.wrapping_mul(inv);
-        for _ in 0..=m {
-            state = unshift_right(unshift_left(unshift_right(state, 27), 25), 12);
-        }
-        state
     }
 
     #[test]
-    fn rejection_branch_consumes_the_same_words() {
-        for m in [
-            0usize,
-            1,
-            2,
-            7,
-            2 * BLOCK - 2,
-            2 * BLOCK - 1,
-            2 * BLOCK,
-            2 * BLOCK + 1,
-        ] {
-            for word in [1u64, 0x7ff] {
-                let planted = state_before_word(word, m);
-                let mut probe = Rng64 { state: planted };
-                let words: Vec<u64> = (0..=m).map(|_| probe.next_u64()).collect();
-                assert_eq!(words[m], word, "plant at word {m}");
-                let mut block = WhiteNoise::new(1.0, 0);
-                block.set_logical_state(planted, None);
-                let mut oracle = PairSampler::new(1.0, 0);
-                oracle.rng.state = planted;
-                assert_same_stream(&mut block, &mut oracle, 3 * 2 * BLOCK);
-                // A word planted at an even index is some pair's `u1`.
-                if m.is_multiple_of(2) {
-                    assert_eq!(oracle.rejections, 1, "no rejection at word {m}");
-                }
+    fn sampler_matches_the_plain_ziggurat_on_every_path() {
+        let mut paths = [0usize; 3];
+        for key in [stream_key(3), stream_key(0xfeed)] {
+            for d in 0..200_000 {
+                let (want, path) = reference_normal(key, d);
+                assert_eq!(normal(key, d).to_bits(), want.to_bits(), "draw {d}");
+                paths[path as usize] += 1;
             }
         }
+        // ~1 % wedge, ~0.03 % tail at 256 layers.
+        assert!(paths[Path::Wedge as usize] > 1000, "paths {paths:?}");
+        assert!(paths[Path::Tail as usize] > 40, "paths {paths:?}");
+    }
+
+    #[test]
+    fn ziggurat_layers_have_equal_area() {
+        let z = &*ZIGGURAT;
+        assert_eq!(z.x[1], ZIGGURAT_R);
+        assert_eq!(z.x[LAYERS], 0.0);
+        for i in 0..LAYERS {
+            assert!(z.x[i + 1] < z.x[i], "edges not decreasing at {i}");
+        }
+        // Base layer: the rectangle x[0]·f(R) holds the tail's area too.
+        assert!((z.x[0] * z.f[1] - ZIGGURAT_V).abs() < 1e-15);
+        for i in 1..LAYERS {
+            let area = z.x[i] * (z.f[i + 1] - z.f[i]);
+            assert!(
+                (area - ZIGGURAT_V).abs() < 1e-10,
+                "layer {i} area {area} vs {ZIGGURAT_V}"
+            );
+        }
+    }
+
+    /// `n` unit draws of the stream of `seed`.
+    fn draws(seed: u64, n: u64) -> impl Iterator<Item = f64> {
+        let key = stream_key(seed);
+        (0..n).map(move |d| normal(key, d))
+    }
+
+    const MILLION: u64 = 1_000_000;
+
+    #[test]
+    fn normal_moments_at_a_million_draws() {
+        for seed in [1u64, 0x5eed] {
+            let (mut s1, mut s2, mut s4) = (0.0, 0.0, 0.0);
+            for z in draws(seed, MILLION) {
+                let z2 = z * z;
+                s1 += z;
+                s2 += z2;
+                s4 += z2 * z2;
+            }
+            let n = MILLION as f64;
+            let mean = s1 / n;
+            let var = s2 / n - mean * mean;
+            let kurt = (s4 / n) / (var * var);
+            // Standard errors: 1e-3 (mean), 1.4e-3 (variance), 4.9e-3
+            // (kurtosis); the bounds are 5-6 of them.
+            assert!(mean.abs() < 5e-3, "seed {seed}: mean {mean}");
+            assert!((var - 1.0).abs() < 7e-3, "seed {seed}: variance {var}");
+            assert!((kurt - 3.0).abs() < 0.03, "seed {seed}: kurtosis {kurt}");
+        }
+    }
+
+    #[test]
+    fn tail_fraction_matches_two_phi_of_minus_r() {
+        for seed in [2u64, 0xbeef] {
+            let beyond = draws(seed, MILLION)
+                .filter(|z| z.abs() >= ZIGGURAT_R)
+                .count() as f64;
+            let expected = MILLION as f64 * 2.0 * phi(-ZIGGURAT_R);
+            // Poisson spread: 5 standard deviations.
+            assert!(
+                (beyond - expected).abs() < 5.0 * expected.sqrt(),
+                "seed {seed}: {beyond} draws beyond r, expected {expected:.1}"
+            );
+        }
+    }
+
+    /// Standard normal CDF via the Chebyshev `erfc` of Numerical Recipes
+    /// (fractional error below 1.2e-7, far under the KS bound below).
+    fn phi(x: f64) -> f64 {
+        let z = x.abs() / std::f64::consts::SQRT_2;
+        let t = 1.0 / (1.0 + 0.5 * z);
+        let poly = -z * z - 1.265_512_23
+            + t * (1.000_023_68
+                + t * (0.374_091_96
+                    + t * (0.096_784_18
+                        + t * (-0.186_288_06
+                            + t * (0.278_868_07
+                                + t * (-1.135_203_98
+                                    + t * (1.488_515_87
+                                        + t * (-0.822_152_23 + t * 0.170_872_77))))))));
+        let erfc = t * poly.exp();
+        if x >= 0.0 {
+            1.0 - 0.5 * erfc
+        } else {
+            0.5 * erfc
+        }
+    }
+
+    #[test]
+    fn kolmogorov_smirnov_distance_to_phi() {
+        let mut xs: Vec<f64> = draws(3, MILLION).collect();
+        xs.sort_by(f64::total_cmp);
+        let n = xs.len() as f64;
+        let d = xs
+            .iter()
+            .enumerate()
+            .map(|(i, &x)| {
+                let p = phi(x);
+                (p - i as f64 / n).abs().max(((i + 1) as f64 / n - p).abs())
+            })
+            .fold(0.0, f64::max);
+        // 1.95/√n is the 0.1 % critical value.
+        assert!(d < 1.95 / n.sqrt(), "KS distance {d}");
+    }
+
+    #[test]
+    fn sibling_seed_streams_are_uncorrelated() {
+        // The platform derives its components' seeds as `seed ^ 0x11`,
+        // `seed ^ 0x22`, …; the gyro's as `seed ^ 0xd1` / `seed ^ 0x5e`.
+        let base = 0x0123_4567_89ab_cdef_u64;
+        let siblings = [
+            0x11u64, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88, 0x99, 0xaa,
+        ];
+        let mut pairs: Vec<(u64, u64)> = siblings.windows(2).map(|w| (w[0], w[1])).collect();
+        pairs.push((0xd1, 0x5e));
+        for (a, b) in pairs {
+            let n = MILLION;
+            let dot: f64 = draws(base ^ a, n)
+                .zip(draws(base ^ b, n))
+                .map(|(x, y)| x * y)
+                .sum();
+            let rho = dot / n as f64;
+            assert!(rho.abs() < 5e-3, "seeds ^{a:#x}/^{b:#x}: correlation {rho}");
+        }
+        // Lag-1 correlation within one stream.
+        let xs: Vec<f64> = draws(base, MILLION).collect();
+        let lag1 = xs.windows(2).map(|w| w[0] * w[1]).sum::<f64>() / xs.len() as f64;
+        assert!(lag1.abs() < 5e-3, "lag-1 correlation {lag1}");
+    }
+
+    #[test]
+    fn keys_never_give_shifted_copies() {
+        // Under additive SplitMix stepping, key k + j·DRAW_STEP would
+        // replay key k's stream j draws later.
+        let key = stream_key(9);
+        for j in 1..4u64 {
+            let shifted = key.wrapping_add(j.wrapping_mul(DRAW_STEP));
+            let same = (0..4096)
+                .filter(|&d| normal(key, d + j).to_bits() == normal(shifted, d).to_bits())
+                .count();
+            assert_eq!(same, 0, "shift {j}");
+        }
+        // Sibling seeds share no first words over a long window.
+        let words = |seed: u64| -> std::collections::HashSet<u64> {
+            (0..20_000).map(|d| word(stream_key(seed), d, 0)).collect()
+        };
+        let a = words(0x11);
+        assert!(a.is_disjoint(&words(0x22)));
+        assert!(a.is_disjoint(&words(0x33)));
     }
 
     #[test]

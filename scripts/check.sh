@@ -53,6 +53,14 @@ cargo run --release -q -p ascp-bench --bin sensor_datasheet -- --smoke --threads
 SD_REFERENCE=target/experiments/sensor_datasheet.reference.csv
 cp target/experiments/sensor_datasheet.csv "$SD_REFERENCE"
 
+echo "== sensor datasheet (full: regenerated DATASHEET.md equals the committed one) =="
+# The full protocol rewrites DATASHEET.md at the repository root; any
+# difference from the committed file means a change moved a datasheet
+# number without regenerating (and committing) it.
+cargo run --release -q -p ascp-bench --bin sensor_datasheet -- --threads 2 >/dev/null
+git diff --exit-code -- DATASHEET.md \
+    || { echo "DATASHEET.md differs from a fresh full sensor_datasheet run" >&2; exit 1; }
+
 echo "== sensor datasheet under chaos + truncated-journal resume (byte-identical CSV) =="
 # Gyro and channel scenarios share the runner's supervision. Seeded
 # worker panics/stalls must be invisible after the retry; a journal cut
